@@ -7,7 +7,9 @@ meters. All values are immutable and all operations are pure functions.
 
 Batched quaternion helpers (``quat_*``) operate on arrays of shape
 ``(..., 4)`` and are used by the pose-graph optimizer and the synthetic
-generator where per-Pose Python objects would be too slow.
+generator where per-Pose Python objects would be too slow. ``kabsch``
+solves a stack of rigid alignments at once; ``align_point_sets`` is its
+single-item form.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "log_pose",
     "mean_rotation",
     "align_point_sets",
+    "kabsch",
     "rotation_angle",
     "pose_distance",
     "quat_mul",
@@ -67,24 +70,35 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate 3-vectors ``v`` (..., 3) by unit quaternions ``q`` (..., 4)."""
+    """Rotate 3-vectors ``v`` (..., 3) by unit quaternions ``q`` (..., 4).
+
+    Computes v + 2 u x (u x v + w v) with u the vector part, written out
+    per component in the same order as ``np.cross`` so the result is
+    bitwise that of the cross-product form.
+    """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    w = q[..., :1]
-    u = q[..., 1:]
-    uv = np.cross(u, v)
-    return v + 2.0 * np.cross(u, uv + w * v)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    sx = (y * vz - z * vy) + w * vx
+    sy = (z * vx - x * vz) + w * vy
+    sz = (x * vy - y * vx) + w * vz
+    return np.stack(
+        [
+            vx + 2.0 * (y * sz - z * sy),
+            vy + 2.0 * (z * sx - x * sz),
+            vz + 2.0 * (x * sy - y * sx),
+        ],
+        axis=-1,
+    )
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Flip signs so the first nonzero component (w first) is positive."""
     q = np.asarray(q, dtype=float)
-    sign = np.zeros(q.shape[:-1])
-    for k in range(4):
-        comp = q[..., k]
-        sign = np.where(sign == 0.0, np.sign(comp), sign)
-    sign = np.where(sign == 0.0, 1.0, sign)
-    return q * sign[..., None]
+    first = np.argmax(q != 0.0, axis=-1)[..., None]
+    sign = np.sign(np.take_along_axis(q, first, axis=-1))
+    return q * np.where(sign == 0.0, 1.0, sign)
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -126,24 +140,35 @@ def quat_angle(q: np.ndarray) -> np.ndarray:
 
 
 def quat_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Quaternion from a 3x3 rotation matrix (Shepperd's method)."""
+    """Quaternions of rotation matrices (..., 3, 3) (Shepperd's method)."""
     R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
+    m = R.reshape(-1, 3, 3)
+    trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+    pos = trace > 0
+    s = np.sqrt(np.where(pos, trace, 0.0) + 1.0) * 2.0
+    q = np.stack(
+        [
+            0.25 * s,
+            (m[:, 2, 1] - m[:, 1, 2]) / s,
+            (m[:, 0, 2] - m[:, 2, 0]) / s,
+            (m[:, 1, 0] - m[:, 0, 1]) / s,
+        ],
+        axis=-1,
+    )
+    if not pos.all():
+        # trace <= 0: branch on the largest diagonal entry
+        b = m[~pos]
+        r = np.arange(len(b))
+        i = np.argmax(np.diagonal(b, axis1=1, axis2=2), axis=1)
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    return quat_canonical(quat_normalize(q))
+        s = np.sqrt(b[r, i, i] - b[r, j, j] - b[r, k, k] + 1.0) * 2.0
+        qb = np.empty((len(b), 4))
+        qb[:, 0] = (b[r, k, j] - b[r, j, k]) / s
+        qb[r, 1 + i] = 0.25 * s
+        qb[r, 1 + j] = (b[r, j, i] + b[r, i, j]) / s
+        qb[r, 1 + k] = (b[r, k, i] + b[r, i, k]) / s
+        q[~pos] = qb
+    return quat_canonical(quat_normalize(q)).reshape(R.shape[:-2] + (4,))
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -323,21 +348,28 @@ def mean_rotation(rotations, weights=None) -> np.ndarray:
     return quat_canonical(quat_normalize(vecs[:, -1]))
 
 
-def align_point_sets(src, dst, weights=None) -> Pose:
-    """Weighted least-squares rigid alignment mapping ``src`` onto ``dst``.
+def kabsch(src, dst, weights=None):
+    """Weighted least-squares rigid alignments of stacks of point sets.
 
-    Minimizes sum w_i ||dst_i - (R src_i + t)||^2 via the cross-covariance
-    SVD with reflection correction, so the rotation always has det +1.
+    ``src`` and ``dst`` have shape (K, n, 3); ``weights`` is None, (n,)
+    shared by every item, or (K, n). Item k minimizes
+    sum w_i ||dst_i - (R src_i + t)||^2 via the cross-covariance SVD with
+    reflection correction, so every rotation has det +1.
 
-    Raises DegenerateGeometry for fewer than 3 points or (near-)collinear
-    source geometry (second singular value of the centered source below
-    1e-6 of the first).
+    Returns ``(valid, q, t)``. ``valid`` (K,) is False where the centered
+    source is (near-)collinear: its second singular value is below 1e-6
+    of the first. ``q`` (K, 4) is the rotation as :func:`quat_from_matrix`
+    gives it and ``t`` (K, 3) the translation, so ``Pose(q[k], t[k])`` is
+    item k's fit; both are NaN where ``valid`` is False. Every item is
+    computed exactly as a separate K = 1 call would compute it.
+
+    Raises DegenerateGeometry for fewer than 3 points.
     """
-    src = np.asarray(src, dtype=float).reshape(-1, 3)
-    dst = np.asarray(dst, dtype=float).reshape(-1, 3)
-    if src.shape != dst.shape:
-        raise ValueError("src and dst must have the same shape")
-    n = src.shape[0]
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    if src.ndim != 3 or src.shape[-1] != 3 or src.shape != dst.shape:
+        raise ValueError("src and dst must be stacks of the same shape (K, n, 3)")
+    n = src.shape[1]
     if n < 3:
         raise DegenerateGeometry(f"need >=3 correspondences, got {n}")
     if weights is None:
@@ -346,20 +378,42 @@ def align_point_sets(src, dst, weights=None) -> Pose:
         w = np.asarray(weights, dtype=float)
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-    wsum = w.sum()
-    if wsum <= 0:
+    wsum = w.sum(axis=-1)
+    if np.any(wsum <= 0):
         raise ValueError("weights sum to zero")
-    cs = (w @ src) / wsum
-    cd = (w @ dst) / wsum
-    src_c = src - cs
-    dst_c = dst - cd
+    wsum = np.reshape(wsum, (-1, 1))
+    cs = (w[..., None, :] @ src)[:, 0] / wsum
+    cd = (w[..., None, :] @ dst)[:, 0] / wsum
+    src_c = src - cs[:, None]
+    dst_c = dst - cd[:, None]
     sv = np.linalg.svd(src_c, compute_uv=False)
-    if sv[1] < 1e-6 * max(sv[0], 1e-300):
-        raise DegenerateGeometry("source points are collinear within tolerance")
-    H = (w[:, None] * src_c).T @ dst_c
+    valid = ~(sv[:, 1] < 1e-6 * np.maximum(sv[:, 0], 1e-300))
+
+    H = np.swapaxes(w[..., None] * src_c, 1, 2) @ dst_c
     U, _, Vt = np.linalg.svd(H)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    q = quat_from_matrix(R)
+    V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
+    D = np.zeros_like(H)
+    D[:, 0, 0] = D[:, 1, 1] = 1.0
+    D[:, 2, 2] = np.sign(np.linalg.det(V @ Ut))
+    q = quat_from_matrix(V @ D @ Ut)
     t = cd - quat_rotate(q, cs)
-    return Pose(q, t)
+    q[~valid] = np.nan
+    t[~valid] = np.nan
+    return valid, q, t
+
+
+def align_point_sets(src, dst, weights=None) -> Pose:
+    """Weighted least-squares rigid alignment mapping ``src`` onto ``dst``.
+
+    The single-item form of :func:`kabsch`. Raises DegenerateGeometry for
+    fewer than 3 points or (near-)collinear source geometry (second
+    singular value of the centered source below 1e-6 of the first).
+    """
+    src = np.asarray(src, dtype=float).reshape(-1, 3)
+    dst = np.asarray(dst, dtype=float).reshape(-1, 3)
+    if src.shape != dst.shape:
+        raise ValueError("src and dst must have the same shape")
+    valid, q, t = kabsch(src[None], dst[None], weights)
+    if not valid[0]:
+        raise DegenerateGeometry("source points are collinear within tolerance")
+    return Pose(q[0], t[0])

@@ -427,7 +427,9 @@ def evaluate(
     Clusters map to parts by majority vote over their member labels.
     Pose RMSE compares each cluster's estimated motion with the true
     part motion relative to the cluster's first observed frame; the
-    success flag applies the mean 10 cm / 25 degree rule.
+    success flag applies the mean 10 cm / 25 degree rule. ``types_correct``
+    needs every edge's kind to be right and at least as many edges as the
+    ground truth has joints.
     """
     by_cluster = {s.cluster_id: s for s in pose_seqs}
     part_of_cluster: dict[int, int] = {}
@@ -486,7 +488,10 @@ def evaluate(
 
     mean_pos = float(np.mean(all_pos)) if all_pos else 0.0
     mean_rot = float(np.mean(all_rot)) if all_rot else 0.0
-    types_ok = all(e.kind_correct for e in edge_reports)
+    # a graph missing edges has not typed every joint, even if no edge is wrong
+    types_ok = len(edge_reports) >= len(ground_truth.joints) and all(
+        e.kind_correct for e in edge_reports
+    )
     success = mean_pos < SUCCESS_MAX_POS and mean_rot < SUCCESS_MAX_ROT
     return EvaluationReport(
         part_of_cluster, pose_rmse_m, pose_rmse_deg, edge_reports,

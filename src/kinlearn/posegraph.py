@@ -2,7 +2,9 @@
 
 Each cluster's motion is recovered in three steps: robust frame-to-frame
 alignment of its member features (iterative inlier reselection with a
-seeded minimal-sample fallback), assembly of relative-pose constraints
+seeded minimal-sample fallback whose samples are solved and scored
+together in one batched Kabsch call, from the same sample stream as a
+one-at-a-time loop), assembly of relative-pose constraints
 (consecutive, a sparse long-range set every ``sparse_stride`` frames, and
 constant-velocity regularizers), and batch Gauss-Newton smoothing over
 the pose chain. The first observed frame is gauge-fixed to the identity,
@@ -24,6 +26,8 @@ from .geometry import (
     align_point_sets,
     apply_pose,
     compose,
+    kabsch,
+    quat_canonical,
     quat_conj,
     quat_from_rotvec,
     quat_mul,
@@ -49,6 +53,7 @@ VELOCITY = "velocity"
 
 DEFAULT_INLIER_THRESHOLD = 0.01  # meters
 DEFAULT_SPARSE_STRIDE = 10
+RANSAC_SAMPLES = 100  # 3-point minimal samples per fallback
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,27 @@ class ClusterPoseSequence:
         return min(self.poses)
 
 
+def _sample_consensus(src, dst, inlier_threshold, seed):
+    """Inlier mask of the best 3-point minimal sample, or None.
+
+    Draws ``RANSAC_SAMPLES`` samples one ``rng.choice`` at a time, solves
+    them in one batched Kabsch call and scores all of them at once. The
+    best is the first non-collinear sample with the most inliers; None
+    when every sample is collinear.
+    """
+    rng = np.random.default_rng(seed)
+    idx = np.array(
+        [rng.choice(len(src), size=3, replace=False) for _ in range(RANSAC_SAMPLES)]
+    )
+    valid, q, t = kabsch(src[idx], dst[idx])
+    if not valid.any():
+        return None
+    q = quat_canonical(quat_normalize(q))  # the rotation as Pose(q, t) stores it
+    moved = quat_rotate(q[:, None, :], src) + t[:, None, :]
+    masks = np.linalg.norm(moved - dst, axis=-1) < inlier_threshold
+    return masks[np.argmax(np.where(valid, masks.sum(axis=1), -1))]
+
+
 def estimate_delta(
     prev: ClusterFrameSet,
     curr: ClusterFrameSet,
@@ -122,7 +148,11 @@ def estimate_delta(
     Returns (delta, inlier feature ids). Starts from an all-point fit and
     iterates fit / reclassify-inliers to a fixed point; when the initial
     fit rejects more than half the points, consensus is re-seeded from
-    random 3-point minimal samples (deterministic for a fixed seed).
+    ``RANSAC_SAMPLES`` random 3-point minimal samples (deterministic for a
+    fixed seed). The samples are drawn one ``rng.choice`` at a time, the
+    same sample stream as scoring them one by one would use, and are
+    solved and scored together in one batched Kabsch call. The first
+    non-collinear sample with the most inliers re-seeds the consensus.
     """
     common, ia, ib = np.intersect1d(prev.ids, curr.ids, return_indices=True)
     if len(common) < 3:
@@ -139,17 +169,7 @@ def estimate_delta(
     inliers = residuals(pose) < inlier_threshold
 
     if inliers.sum() < 0.5 * len(common):
-        rng = np.random.default_rng(seed)
-        best = None
-        for _ in range(100):
-            idx = rng.choice(len(common), size=3, replace=False)
-            try:
-                cand = align_point_sets(src[idx], dst[idx])
-            except DegenerateGeometry:
-                continue
-            mask = residuals(cand) < inlier_threshold
-            if best is None or mask.sum() > best.sum():
-                best = mask
+        best = _sample_consensus(src, dst, inlier_threshold, seed)
         if best is not None and best.sum() >= 3:
             inliers = best
 

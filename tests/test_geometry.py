@@ -13,11 +13,15 @@ from kinlearn.geometry import (
     compose,
     exp_twist,
     inverse,
+    kabsch,
     log_pose,
     mean_rotation,
     pose_distance,
     quat_angle,
+    quat_canonical,
+    quat_from_matrix,
     quat_from_rotvec,
+    quat_rotate,
     relative,
     rotation_angle,
 )
@@ -250,6 +254,132 @@ class TestAlignPointSets:
         src = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
         with pytest.raises(DegenerateGeometry):
             align_point_sets(src, src)
+
+
+def reference_quat_rotate(q, v):
+    """The cross-product form of quaternion rotation."""
+    w, u = q[..., :1], q[..., 1:]
+    return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
+
+
+def reference_quat_canonical(q):
+    """Per-component sign search, first nonzero component made positive."""
+    sign = np.zeros(q.shape[:-1])
+    for k in range(4):
+        sign = np.where(sign == 0.0, np.sign(q[..., k]), sign)
+    return q * np.where(sign == 0.0, 1.0, sign)[..., None]
+
+
+def reference_quat_from_matrix(R):
+    """Shepperd's method on one 3x3 matrix."""
+    t = np.trace(R)
+    if t > 0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+        )
+    else:
+        i = int(np.argmax(np.diag(R)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
+        q = np.empty(4)
+        q[0] = (R[k, j] - R[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (R[j, i] + R[i, j]) / s
+        q[1 + k] = (R[k, i] + R[i, k]) / s
+    return reference_quat_canonical(q / np.linalg.norm(q, axis=-1, keepdims=True))
+
+
+def reference_align_point_sets(src, dst, w):
+    """One-item Kabsch built from the reference primitives above."""
+    cs = (w @ src) / w.sum()
+    cd = (w @ dst) / w.sum()
+    src_c, dst_c = src - cs, dst - cd
+    sv = np.linalg.svd(src_c, compute_uv=False)
+    if sv[1] < 1e-6 * max(sv[0], 1e-300):
+        raise DegenerateGeometry("collinear")
+    U, _, Vt = np.linalg.svd((w[:, None] * src_c).T @ dst_c)
+    d = np.sign(np.linalg.det(Vt.T @ U.T))
+    q = reference_quat_from_matrix(Vt.T @ np.diag([1.0, 1.0, d]) @ U.T)
+    return Pose(q, cd - reference_quat_rotate(q, cs))
+
+
+class TestBatchedKernels:
+    """Batched forms must equal their one-item references bit for bit."""
+
+    @pytest.mark.parametrize("weighting", ["none", "shared", "per_item"])
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_kabsch_equals_separate_calls(self, weighting, n):
+        rng = np.random.default_rng(n)
+        K = 40
+        src = rng.normal(size=(K, n, 3))
+        src[::9] = np.outer(np.arange(n), [1.0, 2.0, -1.0])  # collinear items
+        dst = np.array([apply_pose(random_pose(rng), s) for s in src])
+        dst += rng.normal(scale=0.01, size=dst.shape)
+        weights = {
+            "none": None,
+            "shared": rng.uniform(0.1, 2.0, size=n),
+            "per_item": rng.uniform(0.1, 2.0, size=(K, n)),
+        }[weighting]
+        valid, q, t = kabsch(src, dst, weights)
+        assert not valid[::9].any()
+        assert np.isnan(q[~valid]).all() and np.isnan(t[~valid]).all()
+        for k in range(K):
+            w = weights if weights is None or weights.ndim == 1 else weights[k]
+            if not valid[k]:
+                with pytest.raises(DegenerateGeometry):
+                    align_point_sets(src[k], dst[k], w)
+                continue
+            ref = align_point_sets(src[k], dst[k], w)
+            got = Pose(q[k], t[k])
+            assert got.q.tobytes() == ref.q.tobytes()
+            assert got.t.tobytes() == ref.t.tobytes()
+
+    def test_align_point_sets_equals_reference(self):
+        rng = np.random.default_rng(18)
+        for case in range(300):
+            n = (3, 4, 10, 40)[case % 4]
+            src = rng.normal(size=(n, 3))
+            truth = random_pose(rng, max_angle=np.pi)  # trace <= 0 on some cases
+            dst = apply_pose(truth, src) + rng.normal(scale=0.01, size=(n, 3))
+            w = rng.uniform(0.1, 2.0, size=n) if case % 2 else np.ones(n)
+            got = align_point_sets(src, dst, None if case % 2 == 0 else w)
+            ref = reference_align_point_sets(src, dst, w)
+            assert got.q.tobytes() == ref.q.tobytes()
+            assert got.t.tobytes() == ref.t.tobytes()
+
+    @pytest.mark.parametrize(
+        "q_shape, v_shape", [((4,), (9, 3)), ((9, 4), (9, 3)), ((5, 1, 4), (1, 9, 3))]
+    )
+    def test_quat_rotate_equals_cross_form(self, q_shape, v_shape):
+        rng = np.random.default_rng(15)
+        q = rng.normal(size=q_shape)
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        v = rng.normal(size=v_shape)
+        got, ref = quat_rotate(q, v), reference_quat_rotate(q, v)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_quat_from_matrix_equals_scalar_shepperd(self):
+        rng = np.random.default_rng(16)
+        # half the rotations near pi, where the trace is negative
+        poses = [random_pose(rng) for _ in range(100)]
+        poses += [Pose.from_rotvec(p.q[1:] / np.linalg.norm(p.q[1:]) * (np.pi - 0.1))
+                  for p in poses]
+        R = np.array([p.rotation_matrix() for p in poses])
+        assert (np.trace(R, axis1=1, axis2=2) <= 0).sum() > 50
+        got = quat_from_matrix(R)
+        for k in range(len(R)):
+            assert got[k].tobytes() == reference_quat_from_matrix(R[k]).tobytes()
+        assert quat_from_matrix(R[0]).tobytes() == got[0].tobytes()
+
+    def test_quat_canonical_equals_sign_search(self):
+        rng = np.random.default_rng(17)
+        q = rng.normal(size=(500, 4))
+        holes = rng.random(size=q.shape) < 0.4
+        q[holes] = rng.choice([0.0, -0.0, np.nan], size=holes.sum())
+        assert quat_canonical(q).tobytes() == reference_quat_canonical(q).tobytes()
+        assert quat_canonical(q[3]).tobytes() == reference_quat_canonical(q[3]).tobytes()
 
 
 class TestAngles:

@@ -407,3 +407,11 @@ class TestEvaluate:
         assert not report.types_correct
         assert not report.edges[0].kind_correct
         assert report.edges[0].axis_error_deg is None
+
+    def test_missing_edges_flag_failure(self):
+        # one vertex and no edges, as when segmentation merges both parts
+        demo, assignment, seqs, graph = run_pipeline("door")
+        merged = KinematicGraph("door", graph.vertices[:1], ())
+        report = evaluate(merged, seqs, assignment, demo.ground_truth)
+        assert report.edges == []
+        assert not report.types_correct

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from kinlearn import synth
-from kinlearn.errors import InsufficientCorrespondences
+from kinlearn.errors import DegenerateGeometry, InsufficientCorrespondences
 from kinlearn.geometry import (
     Pose,
+    align_point_sets,
     apply_pose,
     compose,
     inverse,
@@ -20,6 +21,7 @@ from kinlearn.posegraph import (
     ClusterPoseSequence,
     PoseConstraint,
     _pair_residuals,
+    _sample_consensus,
     _velocity_residuals,
     build_constraints,
     estimate_cluster_poses,
@@ -121,6 +123,111 @@ class TestEstimateDelta:
         b = estimate_delta(fset(0, range(20), pts), fset(1, range(20), moved), seed=9)
         assert np.array_equal(a[0].q, b[0].q) and np.array_equal(a[0].t, b[0].t)
         assert a[1] == b[1]
+
+
+def reference_sample_consensus(src, dst, inlier_threshold, seed):
+    """One-sample-at-a-time RANSAC scoring; returns (best mask, skipped)."""
+    rng = np.random.default_rng(seed)
+    best, skipped = None, 0
+    for _ in range(100):
+        idx = rng.choice(len(src), size=3, replace=False)
+        try:
+            cand = align_point_sets(src[idx], dst[idx])
+        except DegenerateGeometry:
+            skipped += 1
+            continue
+        mask = np.linalg.norm(apply_pose(cand, src) - dst, axis=1) < inlier_threshold
+        if best is None or mask.sum() > best.sum():
+            best = mask
+    return best, skipped
+
+
+def reference_estimate_delta(prev, curr, inlier_threshold=0.01, seed=0):
+    """estimate_delta with the fallback scored one sample at a time."""
+    common, ia, ib = np.intersect1d(prev.ids, curr.ids, return_indices=True)
+    src, dst = prev.positions[ia], curr.positions[ib]
+
+    def residuals(pose):
+        return np.linalg.norm(apply_pose(pose, src) - dst, axis=1)
+
+    pose = align_point_sets(src, dst)
+    inliers = residuals(pose) < inlier_threshold
+    if inliers.sum() < 0.5 * len(common):
+        best, _ = reference_sample_consensus(src, dst, inlier_threshold, seed)
+        if best is not None and best.sum() >= 3:
+            inliers = best
+    for _ in range(20):
+        if inliers.sum() < 3:
+            break
+        pose = align_point_sets(src[inliers], dst[inliers])
+        refreshed = residuals(pose) < inlier_threshold
+        if np.array_equal(refreshed, inliers):
+            break
+        inliers = refreshed
+    return pose, tuple(int(i) for i in common[inliers])
+
+
+class TestBatchedSampleConsensus:
+    """The batched fallback must reproduce the one-at-a-time loop bit for bit."""
+
+    @staticmethod
+    def partly_collinear(seed):
+        # 8 of 20 points on one line, so about 1 sample in 20 is collinear;
+        # 1 cm noise rejects most points and forces the fallback
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-0.1, 0.1, size=(20, 3))
+        pts[:8] = np.outer(np.linspace(-0.1, 0.1, 8), [1.0, 0.5, -0.2])
+        true = Pose.from_rotvec(rng.normal(scale=0.2, size=3), rng.normal(scale=0.05, size=3))
+        moved = apply_pose(true, pts) + rng.normal(0, 0.01, size=(20, 3))
+        return pts, moved
+
+    @staticmethod
+    def two_rigid_groups(seed):
+        # two equal groups moving apart: their pure samples tie in inlier count
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-0.5, 0.5, size=(20, 3))
+        moved = pts.copy()
+        moved[:10] = apply_pose(Pose.from_rotvec([0.0, 0.0, 0.3], [0.1, 0, 0]), pts[:10])
+        moved[10:] = apply_pose(Pose.from_rotvec([0.3, 0.0, 0.0], [0, 0.1, 0]), pts[10:])
+        return pts, moved
+
+    def assert_same_delta(self, pts, moved, seed):
+        prev, curr = fset(0, range(len(pts)), pts), fset(1, range(len(pts)), moved)
+        delta, inliers = estimate_delta(prev, curr, seed=seed)
+        ref_delta, ref_inliers = reference_estimate_delta(prev, curr, seed=seed)
+        assert delta.q.tobytes() == ref_delta.q.tobytes()
+        assert delta.t.tobytes() == ref_delta.t.tobytes()
+        assert inliers == ref_inliers
+
+    def test_some_collinear_samples(self):
+        skipped_total = 0
+        for seed in range(8):
+            pts, moved = self.partly_collinear(seed)
+            best, skipped = reference_sample_consensus(pts, moved, 0.01, seed)
+            skipped_total += skipped
+            mask = _sample_consensus(pts, moved, 0.01, seed)
+            assert np.array_equal(mask, best)
+            self.assert_same_delta(pts, moved, seed)
+        assert skipped_total > 0
+
+    def test_every_sample_collinear_keeps_initial_inliers(self):
+        rng = np.random.default_rng(0)
+        pts = np.outer(rng.uniform(-0.2, 0.2, size=12), [0.3, -0.4, 1.0])
+        moved = pts + rng.normal(0, 0.01, size=pts.shape)
+        best, skipped = reference_sample_consensus(pts, moved, 0.01, 3)
+        assert best is None and skipped == 100
+        assert _sample_consensus(pts, moved, 0.01, 3) is None
+
+    def test_ties_keep_first_sample(self):
+        winners = set()
+        for seed in range(6):
+            pts, moved = self.two_rigid_groups(seed)
+            best, _ = reference_sample_consensus(pts, moved, 0.01, seed + 100)
+            assert best.sum() == 10
+            winners.add(int(np.flatnonzero(best)[0]))
+            assert np.array_equal(_sample_consensus(pts, moved, 0.01, seed + 100), best)
+            self.assert_same_delta(pts, moved, seed + 100)
+        assert winners == {0, 10}  # each group wins on some seed
 
 
 class TestBuildConstraints:
