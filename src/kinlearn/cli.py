@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +24,11 @@ from .errors import (
     InvalidSpec,
     KinlearnError,
     MissingConfiguration,
-    MissingGroundTruth,
     ParseError,
     SchemaVersionMismatch,
     UnknownObject,
 )
-from .joints import (
-    NoiseModel,
-    fit_prismatic,
-    fit_revolute,
-    fit_rigid,
-    relative_pose_sequence,
-)
+from .joints import NoiseModel
 from .kingraph import (
     ModelDatabase,
     build_graph,
@@ -68,29 +60,6 @@ EXIT_UNKNOWN_OBJECT = 5
 MIN_FRAMES = 10
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one CLI invocation."""
-
-    subcommand: str
-    seed: int = 0
-    eps: float = 0.05
-    min_pts: int = 5
-    gamma_pos: float = DEFAULT_GAMMA_POS
-    gamma_normal: float = DEFAULT_GAMMA_NORMAL
-    inlier_thresh: float = DEFAULT_INLIER_THRESHOLD
-    sparse_stride: int = DEFAULT_SPARSE_STRIDE
-    sigma_pos: float = 0.01
-    sigma_rot: float = 0.087
-    fmt: str = "text"
-
-    def similarity_params(self) -> SimilarityParams:
-        return SimilarityParams(gamma_pos=self.gamma_pos, gamma_normal=self.gamma_normal)
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(sigma_pos=self.sigma_pos, sigma_rot=self.sigma_rot)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -103,25 +72,19 @@ def _write(path: str | None, text: str, stdout) -> None:
         stdout.write(text)
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(subcommand=args.command, seed=args.seed)
-    for name in ("eps", "min_pts", "gamma_pos", "gamma_normal",
-                 "inlier_thresh", "sparse_stride", "sigma_pos", "sigma_rot"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "format"):
-        cfg.fmt = args.format
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # shared pipeline stages
 
 
-def _segment(demo, cfg: RunConfig):
-    matrix = similarity_matrix(demo, cfg.similarity_params())
-    assignment = cluster(matrix, eps=cfg.eps, min_pts=cfg.min_pts)
+def _segment(demo, args):
+    params = SimilarityParams(gamma_pos=args.gamma_pos, gamma_normal=args.gamma_normal)
+    matrix = similarity_matrix(demo, params)
+    assignment = cluster(matrix, eps=args.eps, min_pts=args.min_pts)
     return matrix, assignment
+
+
+def _noise_model(args) -> NoiseModel:
+    return NoiseModel(sigma_pos=args.sigma_pos, sigma_rot=args.sigma_rot)
 
 
 def _dump_similarity(matrix, path: str) -> None:
@@ -135,21 +98,20 @@ def _dump_similarity(matrix, path: str) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _learn_pipeline(demo, cfg: RunConfig, object_id: str):
-    """segment -> per-cluster poses -> kinematic graph; shared by learn/eval."""
-    _, assignment = _segment(demo, cfg)
+def _learn_pipeline(demo, assignment, args):
+    """segmentation -> per-cluster poses -> kinematic graph; shared by learn/eval."""
     if assignment.n_clusters() < 2:
         raise TooFewClusters(assignment.n_clusters())
     seqs = estimate_cluster_poses(
         demo, assignment,
-        inlier_threshold=cfg.inlier_thresh,
-        sparse_stride=cfg.sparse_stride,
-        seed=cfg.seed,
+        inlier_threshold=args.inlier_thresh,
+        sparse_stride=args.sparse_stride,
+        seed=args.seed,
     )
     if len(seqs) < 2:
         raise TooFewClusters(len(seqs))
-    graph = build_graph(seqs, noise=cfg.noise_model(), object_id=object_id)
-    return assignment, seqs, graph
+    graph = build_graph(seqs, noise=_noise_model(args), object_id=args.object)
+    return seqs, graph
 
 
 class TooFewClusters(KinlearnError):
@@ -188,14 +150,13 @@ def cmd_generate(args, stdout, stderr) -> int:
 
 
 def cmd_segment(args, stdout, stderr) -> int:
-    cfg = _config_from_args(args)
     demo = trajectories.load(args.demo)
-    matrix, assignment = _segment(demo, cfg)
+    matrix, assignment = _segment(demo, args)
     if args.dump_similarity:
         _dump_similarity(matrix, args.dump_similarity)
     noise = sum(1 for c in assignment.labels.values() if c == -1)
     lines = []
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines.append("trajectory,cluster")
         for tid in sorted(assignment.labels):
             lines.append(f"{tid},{assignment.labels[tid]}")
@@ -211,30 +172,21 @@ def cmd_segment(args, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def _bic_table(seqs, graph, noise) -> list[str]:
-    by_id = {s.cluster_id: s for s in seqs}
+def _bic_table(graph) -> list[str]:
     lines = []
     for a, b, model in graph.edges:
-        rel = relative_pose_sequence(by_id[b], by_id[a])
-        bics = {
-            "rigid": fit_rigid(rel, noise).bic,
-            "prismatic": fit_prismatic(rel, noise).bic,
-            "revolute": fit_revolute(rel, noise).bic,
-        }
-        table = " ".join(f"{k}={_fmt(v)}" for k, v in bics.items())
+        table = " ".join(f"{k}={_fmt(v)}" for k, v in model.bics.items())
         lines.append(f"edge ({a}, {b}): {model.kind}  BIC {table}")
     return lines
 
 
 def cmd_learn(args, stdout, stderr) -> int:
-    cfg = _config_from_args(args)
     demo = trajectories.load(args.demo)
-    object_id = args.object
+    matrix, assignment = _segment(demo, args)
     if args.dump_similarity:
-        matrix, _ = _segment(demo, cfg)
         _dump_similarity(matrix, args.dump_similarity)
     try:
-        assignment, seqs, graph = _learn_pipeline(demo, cfg, object_id)
+        seqs, graph = _learn_pipeline(demo, assignment, args)
     except TooFewClusters as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_TOO_FEW_CLUSTERS
@@ -243,7 +195,7 @@ def cmd_learn(args, stdout, stderr) -> int:
         return EXIT_DISCONNECTED
 
     db = ModelDatabase()
-    db.add(graph, provenance={"demo": args.demo, "seed": str(cfg.seed)})
+    db.add(graph, provenance={"demo": args.demo, "seed": str(args.seed)})
     save_db(db, args.output)
 
     poses_path = args.poses or args.output + ".poses.csv"
@@ -260,7 +212,7 @@ def cmd_learn(args, stdout, stderr) -> int:
 
     noise = sum(1 for c in assignment.labels.values() if c == -1)
     stdout.write(f"clusters: {assignment.n_clusters()} (noise: {noise})\n")
-    for line in _bic_table(seqs, graph, cfg.noise_model()):
+    for line in _bic_table(graph):
         stdout.write(line + "\n")
     stdout.write(f"model db -> {args.output}\n")
     stdout.write(f"cluster poses -> {poses_path}\n")
@@ -340,7 +292,6 @@ def cmd_predict(args, stdout, stderr) -> int:
 
 
 def cmd_eval(args, stdout, stderr) -> int:
-    cfg = _config_from_args(args)
     try:
         db = load_db(args.db)
         db.get(args.object)
@@ -361,9 +312,10 @@ def cmd_eval(args, stdout, stderr) -> int:
             stderr.write(f"error: {demo_path}: no ground truth sidecar\n")
             return EXIT_BAD_INPUT
         try:
-            assignment, seqs, graph = _learn_pipeline(demo, cfg, args.object)
+            _, assignment = _segment(demo, args)
+            seqs, graph = _learn_pipeline(demo, assignment, args)
             report = evaluate(
-                graph, seqs, assignment, demo.ground_truth, cfg.noise_model()
+                graph, seqs, assignment, demo.ground_truth, _noise_model(args)
             )
         except KinlearnError as exc:
             rows.append((demo_path, False, False, float("nan"), float("nan"), str(exc)))
@@ -377,7 +329,7 @@ def cmd_eval(args, stdout, stderr) -> int:
 
     n = len(args.demos)
     lines = []
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines.append("demo,success,types_correct,mean_pos_m,mean_rot_deg,note")
         for path, ok, tc, pos, rot, note in rows:
             lines.append(
@@ -406,7 +358,6 @@ def _add_segmentation_flags(p):
     p.add_argument("--gamma-pos", type=float, default=DEFAULT_GAMMA_POS, dest="gamma_pos")
     p.add_argument("--gamma-normal", type=float, default=DEFAULT_GAMMA_NORMAL,
                    dest="gamma_normal")
-    p.add_argument("--dump-similarity", dest="dump_similarity", metavar="CSV")
 
 
 def _add_learning_flags(p):
@@ -436,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("segment", help="cluster trajectories into rigid parts")
     s.add_argument("demo")
-    s.add_argument("--seed", type=int, default=0)
     _add_segmentation_flags(s)
+    s.add_argument("--dump-similarity", dest="dump_similarity", metavar="CSV")
     s.add_argument("--format", choices=("text", "csv"), default="text")
     s.add_argument("-o", "--output")
 
@@ -446,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--object", required=True, help="object id for the model db")
     l.add_argument("--seed", type=int, default=0)
     _add_segmentation_flags(l)
+    l.add_argument("--dump-similarity", dest="dump_similarity", metavar="CSV")
     _add_learning_flags(l)
     l.add_argument("--poses", metavar="CSV", help="per-cluster pose CSV path")
     l.add_argument("-o", "--output", required=True, help="model db path")
@@ -453,10 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="sweep configurations through a model")
     p.add_argument("db")
     p.add_argument("--object", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep", metavar="LO:HI:STEP")
     p.add_argument("--schedule", metavar="FILE")
-    p.add_argument("--format", choices=("text", "csv"), default="csv")
     p.add_argument("-o", "--output")
 
     e = sub.add_parser("eval", help="evaluate models against ground truth")

@@ -43,14 +43,6 @@ class SchemaVersionMismatch(KinlearnError):
         self.expected = expected
 
 
-class DegenerateMotion(KinlearnError):
-    """Motion span is too small to constrain the joint parameters.
-
-    Fits flag this condition rather than raising; the exception type exists
-    for callers that want to escalate the flag.
-    """
-
-
 class DisconnectedParts(KinlearnError):
     """No spanning kinematic tree exists over the observed parts."""
 
@@ -65,7 +57,3 @@ class UnknownObject(KinlearnError):
 
 class MissingConfiguration(KinlearnError):
     """A non-rigid edge was given no configuration value for prediction."""
-
-
-class MissingGroundTruth(KinlearnError):
-    """Evaluation requested on a demonstration without ground truth."""

@@ -23,7 +23,6 @@ from .errors import DegenerateGeometry, EmptyInput
 __all__ = [
     "Pose",
     "Twist",
-    "RelativeTransform",
     "compose",
     "inverse",
     "relative",
@@ -266,24 +265,6 @@ class Twist:
 
     def vector(self) -> np.ndarray:
         return np.concatenate([self.rot, self.trans])
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "Twist":
-        v = np.asarray(v, dtype=float)
-        return Twist(v[:3], v[3:])
-
-
-@dataclass(frozen=True)
-class RelativeTransform:
-    """Measured relative pose between two parts/clusters at one frame."""
-
-    frm: int
-    to: int
-    at_time: int
-    delta: Pose
-
-    def reversed(self) -> "RelativeTransform":
-        return RelativeTransform(self.to, self.frm, self.at_time, inverse(self.delta))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,9 @@ class JointModel:
       rigid: rotation (quat), translation
       prismatic: axis (unit), base (point), rotation (quat)
       revolute: axis (unit), center (point on the rotation line), base (Pose)
+
+    ``bics`` maps each candidate kind to its BIC when the model won
+    :func:`select_model`; it is empty otherwise and is not persisted.
     """
 
     kind: str
@@ -114,6 +117,7 @@ class JointModel:
     bic: float
     configurations: np.ndarray
     degenerate: bool = False
+    bics: dict = field(default_factory=dict)
 
     def predict(self, q: float) -> Pose:
         """Relative pose of part i w.r.t. part j at configuration q."""
@@ -329,7 +333,8 @@ def fit_revolute(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
 
 
 def select_model(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> JointModel:
-    """Fit all three candidates and return the BIC minimizer.
+    """Fit all three candidates and return the BIC minimizer, with every
+    candidate's BIC in its ``bics``.
 
     Ties break toward fewer parameters, then the fixed kind order
     rigid < prismatic < revolute.
@@ -337,7 +342,9 @@ def select_model(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
     if len(seq) < 3:
         raise EmptyInput("select_model needs >=3 observations")
     candidates = [fit_rigid(seq, noise), fit_prismatic(seq, noise), fit_revolute(seq, noise)]
-    return min(candidates, key=lambda m: (m.bic, m.p, KIND_ORDER[m.kind]))
+    best = min(candidates, key=lambda m: (m.bic, m.p, KIND_ORDER[m.kind]))
+    best.bics = {m.kind: m.bic for m in candidates}
+    return best
 
 
 def model_fit_error(model: JointModel, seq: RelativePoseSequence) -> tuple[float, float]:

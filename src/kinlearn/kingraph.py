@@ -83,12 +83,6 @@ class KinematicGraph:
     def root(self) -> int:
         return self.vertices[0]
 
-    def edge_between(self, a: int, b: int):
-        for e in self.edges:
-            if {e[0], e[1]} == {a, b}:
-                return e
-        return None
-
 
 def build_graph(pose_seqs, noise: NoiseModel | None = None, object_id: str = "") -> KinematicGraph:
     """Fit all pairwise joint models and keep the BIC-minimum spanning tree.

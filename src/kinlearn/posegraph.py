@@ -109,9 +109,6 @@ class ClusterPoseSequence:
     converged: bool = True
     iterations: int = 0
 
-    def frames(self) -> list[int]:
-        return sorted(self.poses)
-
     def first_frame(self) -> int:
         return min(self.poses)
 

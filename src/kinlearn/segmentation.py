@@ -29,10 +29,8 @@ from .trajectories import Demonstration, FeatureTrajectory
 __all__ = [
     "NOISE",
     "SimilarityParams",
-    "PairStatistics",
     "SimilarityMatrix",
     "ClusterAssignment",
-    "pair_statistics",
     "pair_similarity",
     "similarity_matrix",
     "cluster",
@@ -59,77 +57,27 @@ class SimilarityParams:
 
 
 @dataclass(frozen=True)
-class PairStatistics:
-    """Per-pair distance samples over the common frames of two trajectories."""
-
-    overlap_count: int
-    mean_distance: float
-    distance_samples: np.ndarray
-
-    def kernel(self, gamma: float) -> float:
-        dev = self.distance_samples - self.mean_distance
-        return float(np.mean(np.exp(-gamma * dev**2)))
-
-
-def _common_frames(a: FeatureTrajectory, b: FeatureTrajectory):
-    common, ia, ib = np.intersect1d(a.frames, b.frames, return_indices=True)
-    return common, ia, ib
-
-
-def pair_statistics(a: FeatureTrajectory, b: FeatureTrajectory, metric: str = "positional"):
-    """Distance statistics for one pair; metric is positional or normal."""
-    _, ia, ib = _common_frames(a, b)
-    if metric == "positional":
-        d = np.linalg.norm(a.positions[ia] - b.positions[ib], axis=1)
-    elif metric == "normal":
-        d = 1.0 - np.sum(a.normals[ia] * b.normals[ib], axis=1)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    mean = float(np.mean(d)) if len(d) else float("nan")
-    return PairStatistics(len(d), mean, d)
-
-
-def pair_similarity(
-    a: FeatureTrajectory, b: FeatureTrajectory, params: SimilarityParams | None = None
-) -> float | None:
-    """Combined similarity in (0, 1], or None when the overlap is too short."""
-    params = params or SimilarityParams()
-    pos = pair_statistics(a, b, "positional")
-    if pos.overlap_count < params.min_overlap:
-        return None
-    l_pos = pos.kernel(params.gamma_pos)
-    if params.combine == "positional":
-        return l_pos
-    l_nrm = pair_statistics(a, b, "normal").kernel(params.gamma_normal)
-    if params.combine == "normal":
-        return l_nrm
-    return l_pos * l_nrm
-
-
-@dataclass(frozen=True)
 class SimilarityMatrix:
     """Symmetric similarity matrix over trajectories, NaN where Undefined."""
 
     ids: tuple[int, ...]
     values: np.ndarray
 
-    def index_of(self, traj_id: int) -> int:
-        return self.ids.index(traj_id)
-
 
 def similarity_matrix(
     demo: Demonstration, params: SimilarityParams | None = None
 ) -> SimilarityMatrix:
-    """Batch form of :func:`pair_similarity` over all trajectory pairs.
+    """Similarity of every trajectory pair; the package's only kernel.
 
     Rows/columns follow ascending trajectory id; the diagonal is 1.
+    :func:`pair_similarity` is the two-row form of this function.
     """
     params = params or SimilarityParams()
     trajs = sorted(demo.trajectories, key=lambda t: t.id)
     if len(trajs) < 2:
         raise ValueError("similarity_matrix needs >= 2 trajectories")
     n = len(trajs)
-    n_frames = 1 + max(int(t.frames[-1]) for t in trajs)
+    n_frames = demo.n_frames()
 
     pos = np.full((n, n_frames, 3), np.nan)
     nrm = np.full((n, n_frames, 3), np.nan)
@@ -163,6 +111,18 @@ def similarity_matrix(
     return SimilarityMatrix(tuple(t.id for t in trajs), values)
 
 
+def pair_similarity(
+    a: FeatureTrajectory, b: FeatureTrajectory, params: SimilarityParams | None = None
+) -> float | None:
+    """Combined similarity in (0, 1], or None when the overlap is too short.
+
+    The two-row form of :func:`similarity_matrix`: the off-diagonal entry
+    of the matrix over ``a`` and ``b``, with Undefined (NaN) as None.
+    """
+    value = similarity_matrix(Demonstration([a, b]), params).values[0, 1]
+    return None if np.isnan(value) else float(value)
+
+
 @dataclass
 class ClusterAssignment:
     """Trajectory id -> cluster id (NOISE = -1), plus the reverse map."""
@@ -181,9 +141,6 @@ class ClusterAssignment:
 
     def n_clusters(self) -> int:
         return len(self.clusters)
-
-    def members(self, cid: int) -> list[int]:
-        return self.clusters[cid]
 
 
 def cluster(matrix: SimilarityMatrix, eps: float = 0.05, min_pts: int = 5) -> ClusterAssignment:

@@ -32,6 +32,14 @@ def door_files(tmp_path_factory):
     return traj, db, out
 
 
+def single_part_demo(tmp_path):
+    spec = synth.default_specs()["door"]
+    solo = dataclasses.replace(spec, parts=spec.parts[:1], joints=())
+    p = str(tmp_path / "solo.traj")
+    trajectories.save(synth.generate(solo, frames=40, seed=0), p)
+    return p
+
+
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):
         paths = [str(tmp_path / f"d{i}.traj") for i in (0, 1)]
@@ -91,11 +99,7 @@ class TestSegment:
         assert all(len(l.split(",")) == n + 1 for l in lines)
 
     def test_single_part_exits_3(self, tmp_path):
-        spec = synth.default_specs()["door"]
-        solo = dataclasses.replace(spec, parts=spec.parts[:1], joints=())
-        demo = synth.generate(solo, frames=40, seed=0)
-        p = str(tmp_path / "solo.traj")
-        trajectories.save(demo, p)
+        p = single_part_demo(tmp_path)
         code, _, err = run(["segment", p])
         assert code == 3
 
@@ -130,15 +134,30 @@ class TestLearn:
         assert open(db, "rb").read() == open(again, "rb").read()
 
     def test_static_demo_exits_3(self, tmp_path):
-        spec = synth.default_specs()["door"]
-        solo = dataclasses.replace(spec, parts=spec.parts[:1], joints=())
-        demo = synth.generate(solo, frames=40, seed=0)
-        p = str(tmp_path / "solo.traj")
-        trajectories.save(demo, p)
+        p = single_part_demo(tmp_path)
         code, _, err = run(["learn", p, "--object", "solo",
                             "-o", str(tmp_path / "solo.db")])
         assert code == 3
         assert "cluster" in err
+
+    def test_dump_similarity_matches_segment(self, door_files, tmp_path):
+        traj, _, _ = door_files
+        seg, learned = str(tmp_path / "seg.csv"), str(tmp_path / "learn.csv")
+        code, _, _ = run(["segment", traj, "--dump-similarity", seg])
+        assert code == 0
+        code, _, _ = run(["learn", traj, "--object", "door", "--seed", "1",
+                          "--dump-similarity", learned, "-o", str(tmp_path / "d.db")])
+        assert code == 0
+        assert open(learned, "rb").read() == open(seg, "rb").read()
+
+    def test_dump_similarity_written_before_exit_3(self, tmp_path):
+        p = single_part_demo(tmp_path)
+        seg, learned = str(tmp_path / "seg.csv"), str(tmp_path / "learn.csv")
+        run(["segment", p, "--dump-similarity", seg])
+        code, _, _ = run(["learn", p, "--object", "solo", "--dump-similarity", learned,
+                          "-o", str(tmp_path / "solo.db")])
+        assert code == 3
+        assert open(learned, "rb").read() == open(seg, "rb").read()
 
 
 class TestPredict:

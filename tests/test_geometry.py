@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from kinlearn.errors import DegenerateGeometry, EmptyInput
 from kinlearn.geometry import (
     Pose,
-    RelativeTransform,
     Twist,
     align_point_sets,
     apply_pose,
@@ -116,13 +115,6 @@ class TestRelative:
         rng = np.random.default_rng(seed)
         a, b = random_pose(rng), random_pose(rng)
         assert_pose_close(compose(b, relative(a, b)), a)
-
-    def test_relative_transform_reversal(self):
-        rng = np.random.default_rng(6)
-        rt = RelativeTransform(0, 1, 7, random_pose(rng))
-        back = rt.reversed()
-        assert (back.frm, back.to, back.at_time) == (1, 0, 7)
-        assert_pose_close(compose(rt.delta, back.delta), Pose.identity())
 
 
 class TestTwist:

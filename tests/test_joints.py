@@ -293,6 +293,25 @@ class TestSelectModel:
         assert fit_prismatic(seq).degenerate
         assert fit_revolute(seq).degenerate
 
+    @pytest.mark.parametrize("kind", ["rigid", "prismatic", "revolute"])
+    def test_bics_are_the_candidate_fits(self, kind):
+        rng = np.random.default_rng(27)
+        d = Pose.from_rotvec([0.0, 0.0, 0.2], [0.3, 0.0, 0.0])
+        clean = {
+            "rigid": make_seq([d] * 30),
+            "prismatic": prismatic_seq(n=30)[0],
+            "revolute": revolute_seq(n=30)[0],
+        }[kind]
+        seq = make_seq([Pose(p.q, p.t + rng.normal(0, 0.001, 3)) for p in clean.deltas])
+        noise = NoiseModel(sigma_pos=0.02, sigma_rot=0.05)
+        winner = select_model(seq, noise)
+        assert winner.kind == kind
+        fits = {"rigid": fit_rigid, "prismatic": fit_prismatic, "revolute": fit_revolute}
+        expected = {k: fit(seq, noise).bic for k, fit in fits.items()}
+        assert list(winner.bics) == list(expected)
+        assert all(winner.bics[k].tobytes() == expected[k].tobytes() for k in expected)
+        assert winner.bic == winner.bics[kind]
+
     def test_noise_free_catalog_types(self):
         expected = {
             "door": "revolute", "drawer": "prismatic", "fridge": "revolute",

@@ -160,18 +160,40 @@ class TestSimilarityMatrix:
     def test_matches_pairwise(self):
         from kinlearn.trajectories import Demonstration
 
-        spec = synth.default_specs()["door"].with_noise(sigma_pos=0.003, sigma_normal=0.05)
-        demo = synth.generate(spec, frames=40, seed=4)
-        demo = Demonstration(demo.trajectories[:8], ground_truth=None)
-        m = similarity_matrix(demo)
-        trajs = sorted(demo.trajectories, key=lambda t: t.id)
-        for i in range(len(trajs)):
-            for j in range(i + 1, len(trajs)):
-                expected = pair_similarity(trajs[i], trajs[j])
-                if expected is None:
-                    assert np.isnan(m.values[i, j])
-                else:
-                    assert abs(m.values[i, j] - expected) < 1e-12
+        def reference_pair_similarity(a, b, params):
+            """The kernel of the module docstring, one pair at a time."""
+            _, ia, ib = np.intersect1d(a.frames, b.frames, return_indices=True)
+            if len(ia) < params.min_overlap:
+                return None
+
+            def kernel(d, gamma):
+                return float(np.mean(np.exp(-gamma * (d - float(np.mean(d))) ** 2)))
+
+            d_pos = np.linalg.norm(a.positions[ia] - b.positions[ib], axis=1)
+            d_nrm = 1.0 - np.sum(a.normals[ia] * b.normals[ib], axis=1)
+            l_pos = kernel(d_pos, params.gamma_pos)
+            l_nrm = kernel(d_nrm, params.gamma_normal)
+            return {"positional": l_pos, "normal": l_nrm, "product": l_pos * l_nrm}[
+                params.combine
+            ]
+
+        door = synth.default_specs()["door"]
+        for dropout in (0.0, 0.3):
+            spec = door.with_noise(sigma_pos=0.003, sigma_normal=0.05, dropout=dropout)
+            demo = synth.generate(spec, frames=40, seed=4)
+            demo = Demonstration(demo.trajectories[:8], ground_truth=None)
+            trajs = sorted(demo.trajectories, key=lambda t: t.id)
+            for combine in ("product", "positional", "normal"):
+                params = SimilarityParams(min_overlap=20, combine=combine)
+                m = similarity_matrix(demo, params)
+                for i in range(len(trajs)):
+                    for j in range(i + 1, len(trajs)):
+                        expected = reference_pair_similarity(trajs[i], trajs[j], params)
+                        assert pair_similarity(trajs[i], trajs[j], params) == expected
+                        if expected is None:
+                            assert np.isnan(m.values[i, j])
+                        else:
+                            assert m.values[i, j] == expected
 
     def test_noise_free_door_margins(self):
         spec = synth.default_specs()["door"]
