@@ -5,9 +5,10 @@ tolerance is a flag with its library default, and all emitted files use
 ``repr`` floats, so repeating an invocation with the same inputs and
 seed produces byte-identical artifacts.
 
-Exit codes: 0 success; 2 bad input (invalid spec, missing ground truth,
-missing configuration, unparseable file); 3 fewer than 2 clusters;
+Exit codes: 0 success; 2 bad input; 3 fewer than 2 clusters;
 4 disconnected parts; 5 unknown object id in a model database.
+``EXIT_CODES`` maps each failure type to its code, and ``main`` applies
+it to every subcommand.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .segmentation import (
     cluster,
     similarity_matrix,
 )
-from .trajectories import RIGID
+from .trajectories import RIGID, fmt_floats, write_lines
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -60,16 +61,11 @@ EXIT_UNKNOWN_OBJECT = 5
 MIN_FRAMES = 10
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write(path: str | None, text: str, stdout) -> None:
+def _write(path: str | None, lines, stdout) -> None:
     if path:
-        with open(path, "w") as f:
-            f.write(text)
+        write_lines(path, lines)
     else:
-        stdout.write(text)
+        stdout.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +86,9 @@ def _noise_model(args) -> NoiseModel:
 def _dump_similarity(matrix, path: str) -> None:
     lines = ["id," + ",".join(str(i) for i in matrix.ids)]
     for i, tid in enumerate(matrix.ids):
-        row = ",".join(
-            "" if np.isnan(v) else _fmt(v) for v in matrix.values[i]
-        )
+        row = ",".join("" if np.isnan(v) else fmt_floats((v,)) for v in matrix.values[i])
         lines.append(f"{tid},{row}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _learn_pipeline(demo, assignment, args):
@@ -120,6 +113,18 @@ class TooFewClusters(KinlearnError):
         self.n = n
 
 
+EXIT_CODES = {
+    FileNotFoundError: EXIT_BAD_INPUT,
+    ParseError: EXIT_BAD_INPUT,
+    SchemaVersionMismatch: EXIT_BAD_INPUT,
+    InvalidSpec: EXIT_BAD_INPUT,
+    MissingConfiguration: EXIT_BAD_INPUT,
+    TooFewClusters: EXIT_TOO_FEW_CLUSTERS,
+    DisconnectedParts: EXIT_DISCONNECTED,
+    UnknownObject: EXIT_UNKNOWN_OBJECT,
+}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -127,20 +132,11 @@ class TooFewClusters(KinlearnError):
 def cmd_generate(args, stdout, stderr) -> int:
     specs = synth.default_specs()
     if args.object not in specs:
-        stderr.write(
-            f"error: unknown object {args.object!r}; catalog: "
-            + ", ".join(sorted(specs)) + "\n"
-        )
-        return EXIT_BAD_INPUT
+        raise InvalidSpec(f"unknown object {args.object!r}; catalog: " + ", ".join(sorted(specs)))
     if args.frames < MIN_FRAMES:
-        stderr.write(f"error: --frames must be >= {MIN_FRAMES}\n")
-        return EXIT_BAD_INPUT
+        raise InvalidSpec(f"--frames must be >= {MIN_FRAMES}")
     spec = specs[args.object].with_noise(sigma_pos=args.noise, dropout=args.dropout)
-    try:
-        demo = synth.generate(spec, frames=args.frames, seed=args.seed)
-    except InvalidSpec as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
+    demo = synth.generate(spec, frames=args.frames, seed=args.seed)
     trajectories.save(demo, args.output)
     stdout.write(
         f"{args.object}: {len(demo.trajectories)} trajectories, "
@@ -165,7 +161,7 @@ def cmd_segment(args, stdout, stderr) -> int:
         for cid in sorted(assignment.clusters):
             members = assignment.clusters[cid]
             lines.append(f"cluster {cid}: {len(members)} trajectories")
-    _write(args.output, "\n".join(lines) + "\n", stdout)
+    _write(args.output, lines, stdout)
     if assignment.n_clusters() < 2:
         stderr.write("error: fewer than 2 clusters; nothing articulated to learn\n")
         return EXIT_TOO_FEW_CLUSTERS
@@ -175,7 +171,7 @@ def cmd_segment(args, stdout, stderr) -> int:
 def _bic_table(graph) -> list[str]:
     lines = []
     for a, b, model in graph.edges:
-        table = " ".join(f"{k}={_fmt(v)}" for k, v in model.bics.items())
+        table = " ".join(f"{k}={fmt_floats((v,))}" for k, v in model.bics.items())
         lines.append(f"edge ({a}, {b}): {model.kind}  BIC {table}")
     return lines
 
@@ -185,15 +181,7 @@ def cmd_learn(args, stdout, stderr) -> int:
     matrix, assignment = _segment(demo, args)
     if args.dump_similarity:
         _dump_similarity(matrix, args.dump_similarity)
-    try:
-        seqs, graph = _learn_pipeline(demo, assignment, args)
-    except TooFewClusters as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_TOO_FEW_CLUSTERS
-    except DisconnectedParts as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_DISCONNECTED
-
+    seqs, graph = _learn_pipeline(demo, assignment, args)
     db = ModelDatabase()
     db.add(graph, provenance={"demo": args.demo, "seed": str(args.seed)})
     save_db(db, args.output)
@@ -203,12 +191,11 @@ def cmd_learn(args, stdout, stderr) -> int:
     for seq in seqs:
         for frame in sorted(seq.poses):
             p = seq.poses[frame]
-            vals = ",".join(_fmt(v) for v in (*p.q, *p.t))
             lines.append(
-                f"{seq.cluster_id},{frame},{vals},{seq.inlier_counts.get(frame, 0)}"
+                f"{seq.cluster_id},{frame},{fmt_floats((*p.q, *p.t), ',')},"
+                f"{seq.inlier_counts.get(frame, 0)}"
             )
-    with open(poses_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(poses_path, lines)
 
     noise = sum(1 for c in assignment.labels.values() if c == -1)
     stdout.write(f"clusters: {assignment.n_clusters()} (noise: {noise})\n")
@@ -227,40 +214,31 @@ def _parse_sweep(text: str):
     return lo + step * np.arange(n)
 
 
-def cmd_predict(args, stdout, stderr) -> int:
+def _configuration_rows(args, n_free: int) -> np.ndarray:
+    """One row of configurations per predicted pose set, from --schedule
+    or --sweep; a value that does not parse is bad input."""
     try:
-        db = load_db(args.db)
-        graph = db.get(args.object)
-    except (ParseError, SchemaVersionMismatch) as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
-    except UnknownObject as exc:
-        stderr.write(
-            f"error: {exc}; known objects: " + ", ".join(sorted(db.graphs)) + "\n"
+        if args.schedule:
+            rows = np.loadtxt(args.schedule, ndmin=2)
+        elif args.sweep:
+            return np.repeat(_parse_sweep(args.sweep)[:, None], max(n_free, 1), axis=1)
+        elif n_free:
+            raise MissingConfiguration("need --sweep or --schedule for non-rigid edges")
+        else:
+            return np.zeros((1, 0))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if rows.shape[1] != n_free:
+        raise ParseError(
+            f"schedule has {rows.shape[1]} column(s), graph has {n_free} non-rigid edge(s)"
         )
-        return EXIT_UNKNOWN_OBJECT
+    return rows
 
+
+def cmd_predict(args, stdout, stderr) -> int:
+    graph = load_db(args.db).get(args.object)
     free_edges = [(a, b, m) for a, b, m in graph.edges if m.kind != RIGID]
-    if args.schedule:
-        rows = np.loadtxt(args.schedule, ndmin=2)
-        if rows.shape[1] != len(free_edges):
-            stderr.write(
-                f"error: schedule has {rows.shape[1]} column(s), graph has "
-                f"{len(free_edges)} non-rigid edge(s)\n"
-            )
-            return EXIT_BAD_INPUT
-    elif args.sweep:
-        try:
-            qs = _parse_sweep(args.sweep)
-        except ValueError as exc:
-            stderr.write(f"error: {exc}\n")
-            return EXIT_BAD_INPUT
-        rows = np.repeat(qs[:, None], max(len(free_edges), 1), axis=1)
-    elif free_edges:
-        stderr.write("error: need --sweep or --schedule for non-rigid edges\n")
-        return EXIT_BAD_INPUT
-    else:
-        rows = np.zeros((1, 0))
+    rows = _configuration_rows(args, len(free_edges))
 
     header = ["row"]
     header += [f"q_{a}_{b}" for a, b, _ in free_edges]
@@ -274,43 +252,25 @@ def cmd_predict(args, stdout, stderr) -> int:
             not (m.q_range()[0] <= q <= m.q_range()[1])
             for (_, _, m), q in zip(free_edges, qrow)
         )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                poses = predict(graph, configs)
-        except MissingConfiguration as exc:
-            stderr.write(f"error: {exc}\n")
-            return EXIT_BAD_INPUT
-        cells = [str(r)] + [_fmt(q) for q in qrow]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            poses = predict(graph, configs)
+        values = [*qrow]
         for v in graph.vertices:
-            p = poses[v]
-            cells += [_fmt(x) for x in (*p.q, *p.t)]
-        cells.append("1" if extrapolated else "0")
-        lines.append(",".join(cells))
-    _write(args.output, "\n".join(lines) + "\n", stdout)
+            values += [*poses[v].q, *poses[v].t]
+        lines.append(f"{r},{fmt_floats(values, ',')},{'1' if extrapolated else '0'}")
+    _write(args.output, lines, stdout)
     return EXIT_OK
 
 
 def cmd_eval(args, stdout, stderr) -> int:
-    try:
-        db = load_db(args.db)
-        db.get(args.object)
-    except (ParseError, SchemaVersionMismatch) as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
-    except UnknownObject as exc:
-        stderr.write(
-            f"error: {exc}; known objects: " + ", ".join(sorted(db.graphs)) + "\n"
-        )
-        return EXIT_UNKNOWN_OBJECT
-
+    load_db(args.db).get(args.object)
     rows = []
     successes = types_ok = 0
     for demo_path in args.demos:
         demo = trajectories.load(demo_path)
         if demo.ground_truth is None:
-            stderr.write(f"error: {demo_path}: no ground truth sidecar\n")
-            return EXIT_BAD_INPUT
+            raise FileNotFoundError(f"{demo_path}: no ground truth sidecar")
         try:
             _, assignment = _segment(demo, args)
             seqs, graph = _learn_pipeline(demo, assignment, args)
@@ -332,19 +292,17 @@ def cmd_eval(args, stdout, stderr) -> int:
     if args.format == "csv":
         lines.append("demo,success,types_correct,mean_pos_m,mean_rot_deg,note")
         for path, ok, tc, pos, rot, note in rows:
-            lines.append(
-                f"{path},{int(ok)},{int(tc)},{_fmt(pos)},{_fmt(rot)},{note}"
-            )
+            lines.append(f"{path},{int(ok)},{int(tc)},{fmt_floats((pos, rot), ',')},{note}")
     else:
         for path, ok, tc, pos, rot, note in rows:
             status = "ok" if ok else "FAIL"
             detail = note or (
-                f"mean {_fmt(pos)} m / {_fmt(rot)} deg, "
+                f"mean {fmt_floats((pos,))} m / {fmt_floats((rot,))} deg, "
                 f"types {'ok' if tc else 'WRONG'}"
             )
             lines.append(f"{path}: {status} ({detail})")
         lines.append(f"{args.object}: {successes}/{n} success, {types_ok}/{n} correct types")
-    _write(args.output, "\n".join(lines) + "\n", stdout)
+    _write(args.output, lines, stdout)
     return EXIT_OK
 
 
@@ -436,12 +394,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, stdout, stderr)
-    except FileNotFoundError as exc:
+    except tuple(EXIT_CODES) as exc:
         stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
-    except ParseError as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def console_main() -> None:

@@ -34,6 +34,7 @@ __all__ = [
     "kabsch",
     "rotation_angle",
     "pose_distance",
+    "pose_residual",
     "quat_mul",
     "quat_conj",
     "quat_rotate",
@@ -305,6 +306,13 @@ def rotation_angle(a: Pose, b: Pose | None = None) -> float:
     """Geodesic angle of a (or of the relative rotation b -> a), radians."""
     q = a.q if b is None else quat_mul(quat_conj(b.q), a.q)
     return float(quat_angle(q))
+
+
+def pose_residual(a: Pose, b: Pose) -> tuple[float, float]:
+    """(translation norm in m, rotation angle in rad) of ``relative(a, b)``:
+    how far the observed pose ``a`` lies from the predicted pose ``b``."""
+    err = relative(a, b)
+    return float(np.linalg.norm(err.t)), rotation_angle(err)
 
 
 def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:

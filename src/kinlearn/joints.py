@@ -19,13 +19,12 @@ from .errors import EmptyInput
 from .geometry import (
     Pose,
     compose,
-    inverse,
     mean_rotation,
+    pose_residual,
     quat_conj,
     quat_mul,
     quat_to_rotvec,
     relative,
-    rotation_angle,
 )
 from .trajectories import PRISMATIC, REVOLUTE, RIGID
 
@@ -158,8 +157,8 @@ class JointModel:
             candidates.append(float(np.arctan2(b[0] * a[1] - b[1] * a[0], b @ a)))
 
         def residual(q):
-            err = relative(delta, self.predict(q))
-            return np.linalg.norm(err.t) + 0.1 * rotation_angle(err)
+            m, rad = pose_residual(delta, self.predict(q))
+            return m + 0.1 * rad
 
         return min(candidates, key=residual)
 
@@ -180,9 +179,7 @@ def loglik(model: JointModel, seq: RelativePoseSequence, noise: NoiseModel | Non
     t_res = np.empty(len(seq))
     r_res = np.empty(len(seq))
     for k, delta in enumerate(seq.deltas):
-        err = relative(delta, model.predict(float(qs[k])))
-        t_res[k] = np.linalg.norm(err.t)
-        r_res[k] = rotation_angle(err)
+        t_res[k], r_res[k] = pose_residual(delta, model.predict(float(qs[k])))
     return float(
         np.sum(_gauss_logpdf(t_res, noise.sigma_pos))
         + np.sum(_gauss_logpdf(r_res, noise.sigma_rot))
@@ -350,11 +347,5 @@ def select_model(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
 def model_fit_error(model: JointModel, seq: RelativePoseSequence) -> tuple[float, float]:
     """(mean translation residual in meters, mean rotation residual in
     degrees) at the per-frame best configuration on the model manifold."""
-    t_res = []
-    r_res = []
-    for delta in seq.deltas:
-        q = model.project(delta)
-        err = relative(delta, model.predict(q))
-        t_res.append(np.linalg.norm(err.t))
-        r_res.append(np.degrees(rotation_angle(err)))
-    return float(np.mean(t_res)), float(np.mean(r_res))
+    t_res, r_res = zip(*(pose_residual(d, model.predict(model.project(d))) for d in seq.deltas))
+    return float(np.mean(t_res)), float(np.mean(np.degrees(r_res)))

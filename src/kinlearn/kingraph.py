@@ -18,20 +18,17 @@ from .errors import (
     DisconnectedParts,
     DuplicateObject,
     MissingConfiguration,
-    ParseError,
-    SchemaVersionMismatch,
     UnknownObject,
 )
-from .geometry import Pose, compose, inverse, relative, rotation_angle
+from .geometry import Pose, compose, inverse, pose_residual
 from .joints import (
     JointModel,
     NoiseModel,
-    RelativePoseSequence,
     model_fit_error,
     relative_pose_sequence,
     select_model,
 )
-from .trajectories import PRISMATIC, REVOLUTE, RIGID
+from .trajectories import PRISMATIC, REVOLUTE, RIGID, fmt_floats, read_records, write_lines
 
 __all__ = [
     "KinematicGraph",
@@ -66,22 +63,30 @@ class KinematicGraph:
 
     def __post_init__(self):
         self.vertices = tuple(sorted(self.vertices))
-        if len(self.edges) != len(self.vertices) - 1:
-            raise ValueError("edges do not form a spanning tree")
-        seen = {self.root()}
-        remaining = list(self.edges)
-        while remaining:
-            progress = [e for e in remaining if e[0] in seen or e[1] in seen]
-            if not progress:
-                raise ValueError("edges do not form a spanning tree")
-            for e in progress:
-                seen.update((e[0], e[1]))
-                remaining.remove(e)
-        if seen != set(self.vertices):
+        if len(self.edges) != len(self.vertices) - 1 or {
+            self.root(), *(dst for _, dst, _, _ in self.walk())
+        } != set(self.vertices):
             raise ValueError("edges do not form a spanning tree")
 
     def root(self) -> int:
         return self.vertices[0]
+
+    def walk(self) -> list[tuple[int, int, JointModel, bool]]:
+        """Edges reachable from the root, breadth-first, as (src, dst,
+        model, forward): ``src`` is reached before the edge and ``dst``
+        through it; ``forward`` tells whether the edge is stored as
+        (src, dst) rather than (dst, src)."""
+        adjacent: dict[int, list] = {}
+        for a, b, model in self.edges:
+            adjacent.setdefault(a, []).append((b, model, True))
+            adjacent.setdefault(b, []).append((a, model, False))
+        reached, order = [self.root()], []
+        for src in reached:  # grows while it is walked
+            for dst, model, forward in adjacent.get(src, ()):
+                if dst not in reached:
+                    reached.append(dst)
+                    order.append((src, dst, model, forward))
+        return order
 
 
 def build_graph(pose_seqs, noise: NoiseModel | None = None, object_id: str = "") -> KinematicGraph:
@@ -149,14 +154,6 @@ def minimum_spanning_tree(ids, candidates):
     return edges
 
 
-def _edge_config(configurations, a, b):
-    if (a, b) in configurations:
-        return configurations[(a, b)]
-    if (b, a) in configurations:
-        return configurations[(b, a)]
-    return None
-
-
 def predict(
     graph: KinematicGraph,
     configurations: dict,
@@ -169,42 +166,26 @@ def predict(
     models. Rigid edges need no configuration; configurations outside
     the observed range trigger an extrapolation warning but are honored.
     """
-    base_pose = base_pose or Pose.identity()
-    poses = {graph.root(): base_pose}
-    remaining = list(graph.edges)
-    while remaining:
-        progress = False
-        for e in list(remaining):
-            a, b, model = e
-            if a in poses:
-                src, dst, forward = a, b, True
-            elif b in poses:
-                src, dst, forward = b, a, False
-            else:
-                continue
-            if model.kind == RIGID:
-                q = 0.0
-            else:
-                q = _edge_config(configurations, a, b)
-                if q is None:
-                    raise MissingConfiguration(
-                        f"edge ({a}, {b}) [{model.kind}] needs a configuration"
-                    )
-                lo, hi = model.q_range()
-                if not lo <= q <= hi:
-                    warnings.warn(
-                        f"edge ({a}, {b}): configuration {q} outside observed "
-                        f"range [{lo}, {hi}], extrapolating",
-                        RuntimeWarning,
-                    )
-            delta = model.predict(float(q))
-            if not forward:
-                delta = inverse(delta)
-            poses[dst] = compose(poses[src], delta)
-            remaining.remove(e)
-            progress = True
-        if not progress:
-            raise ValueError("graph is not connected")
+    poses = {graph.root(): base_pose or Pose.identity()}
+    for src, dst, model, forward in graph.walk():
+        a, b = (src, dst) if forward else (dst, src)
+        if model.kind == RIGID:
+            q = 0.0
+        else:
+            q = configurations.get((a, b), configurations.get((b, a)))
+            if q is None:
+                raise MissingConfiguration(
+                    f"edge ({a}, {b}) [{model.kind}] needs a configuration"
+                )
+            lo, hi = model.q_range()
+            if not lo <= q <= hi:
+                warnings.warn(
+                    f"edge ({a}, {b}): configuration {q} outside observed "
+                    f"range [{lo}, {hi}], extrapolating",
+                    RuntimeWarning,
+                )
+        delta = model.predict(float(q))
+        poses[dst] = compose(poses[src], delta if forward else inverse(delta))
     return poses
 
 
@@ -229,12 +210,11 @@ class ModelDatabase:
 
     def get(self, object_id: str) -> KinematicGraph:
         if object_id not in self.graphs:
-            raise UnknownObject(f"no model for object {object_id!r}")
+            raise UnknownObject(
+                f"no model for object {object_id!r}; known objects: "
+                + ", ".join(sorted(self.graphs))
+            )
         return self.graphs[object_id]
-
-
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in np.atleast_1d(values))
 
 
 _PARAM_NAMES = {
@@ -255,113 +235,97 @@ def save_db(db: ModelDatabase, path: str) -> None:
         for a, b, m in g.edges:
             lines.append(
                 f"edge {a} {b} {m.kind} {m.p} "
-                f"{float(m.loglik)!r} {float(m.bic)!r} {int(m.degenerate)}"
+                f"{fmt_floats((m.loglik, m.bic))} {int(m.degenerate)}"
             )
             for name in _PARAM_NAMES[m.kind]:
                 value = m.params[name]
                 if isinstance(value, Pose):
-                    lines.append(f"param {name} {_fmt(value.q)} {_fmt(value.t)}")
+                    lines.append(f"param {name} {fmt_floats(value.q)} {fmt_floats(value.t)}")
                 else:
-                    lines.append(f"param {name} {_fmt(value)}")
-            lines.append("configs " + _fmt(m.configurations))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+                    lines.append(f"param {name} {fmt_floats(value)}")
+            lines.append("configs " + fmt_floats(m.configurations))
+    write_lines(path, lines)
 
 
 def load_db(path: str) -> ModelDatabase:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "kgraphdb":
-        raise ParseError("expected header 'kgraphdb <schema>'", line=1)
-    if header[1] != str(DB_SCHEMA):
-        raise SchemaVersionMismatch(header[1], str(DB_SCHEMA))
-
     db = ModelDatabase()
     oid = None
     vertices: list[int] = []
     edges: list = []
     provenance: dict = {}
-    pending: list | None = None  # [a, b, model kwargs]
+    open_edge: list | None = None  # [a, b, model kwargs] of the edge being read
 
-    def finish_edge(lineno):
-        nonlocal pending
-        if pending is None:
+    def finish_edge():
+        nonlocal open_edge
+        if open_edge is None:
             return
-        a, b, kw = pending
+        a, b, kw = open_edge
         missing = [n for n in _PARAM_NAMES[kw["kind"]] if n not in kw["params"]]
-        if missing or "configurations" not in kw:
-            raise ParseError(f"edge ({a}, {b}) incomplete: missing {missing}", line=lineno)
+        missing += ["configs"] if kw["configurations"] is None else []
+        if missing:
+            raise ValueError(f"edge ({a}, {b}) incomplete: missing {missing}")
         edges.append((a, b, JointModel(**kw)))
-        pending = None
+        open_edge = None
 
-    def finish_object(lineno):
+    def finish_object():
         nonlocal oid, vertices, edges, provenance
         if oid is None:
             return
-        finish_edge(lineno)
+        finish_edge()
         try:
             graph = KinematicGraph(oid, tuple(vertices), tuple(edges))
         except ValueError as exc:
-            raise ParseError(f"object {oid}: {exc}", line=lineno) from None
+            raise ValueError(f"object {oid}: {exc}") from None
         db.add(graph, provenance)
         oid, vertices, edges, provenance = None, [], [], {}
 
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
+    def record(parts):
+        nonlocal oid, vertices, open_edge
         tag = parts[0]
-        try:
-            if tag == "object":
-                finish_object(lineno)
-                oid = parts[1]
-            elif tag == "provenance":
-                provenance[parts[1]] = " ".join(parts[2:])
-            elif tag == "vertices":
-                vertices = [int(v) for v in parts[1:]]
-            elif tag == "edge":
-                finish_edge(lineno)
-                kind = parts[3]
-                if kind not in _PARAM_NAMES:
-                    raise ParseError(f"unknown joint kind {kind!r}", line=lineno)
-                pending = [
-                    int(parts[1]),
-                    int(parts[2]),
-                    {
-                        "kind": kind,
-                        "params": {},
-                        "p": int(parts[4]),
-                        "loglik": float(parts[5]),
-                        "bic": float(parts[6]),
-                        "configurations": None,
-                        "degenerate": bool(int(parts[7])),
-                    },
-                ]
-            elif tag == "param":
-                if pending is None:
-                    raise ParseError("param record outside an edge", line=lineno)
-                name = parts[1]
-                vals = np.array([float(v) for v in parts[2:]])
-                if name == "base" and pending[2]["kind"] == REVOLUTE:
-                    if len(vals) != 7:
-                        raise ParseError("base pose needs 7 floats", line=lineno)
-                    pending[2]["params"][name] = Pose(vals[:4], vals[4:])
-                else:
-                    pending[2]["params"][name] = vals
-            elif tag == "configs":
-                if pending is None:
-                    raise ParseError("configs record outside an edge", line=lineno)
-                pending[2]["configurations"] = np.array([float(v) for v in parts[1:]])
+        if tag == "object":
+            finish_object()
+            oid = parts[1]
+        elif tag == "provenance":
+            provenance[parts[1]] = " ".join(parts[2:])
+        elif tag == "vertices":
+            vertices = [int(v) for v in parts[1:]]
+        elif tag == "edge":
+            finish_edge()
+            kind = parts[3]
+            if kind not in _PARAM_NAMES:
+                raise ValueError(f"unknown joint kind {kind!r}")
+            open_edge = [
+                int(parts[1]),
+                int(parts[2]),
+                {
+                    "kind": kind,
+                    "params": {},
+                    "p": int(parts[4]),
+                    "loglik": float(parts[5]),
+                    "bic": float(parts[6]),
+                    "configurations": None,
+                    "degenerate": bool(int(parts[7])),
+                },
+            ]
+        elif tag == "param":
+            if open_edge is None:
+                raise ValueError("param record outside an edge")
+            name = parts[1]
+            vals = np.array([float(v) for v in parts[2:]])
+            if name == "base" and open_edge[2]["kind"] == REVOLUTE:
+                if len(vals) != 7:
+                    raise ValueError("base pose needs 7 floats")
+                open_edge[2]["params"][name] = Pose(vals[:4], vals[4:])
             else:
-                raise ParseError(f"unknown record tag {tag!r}", line=lineno)
-        except ParseError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    finish_object(len(lines) + 1)
+                open_edge[2]["params"][name] = vals
+        elif tag == "configs":
+            if open_edge is None:
+                raise ValueError("configs record outside an edge")
+            open_edge[2]["configurations"] = np.array([float(v) for v in parts[1:]])
+        else:
+            raise ValueError(f"unknown record tag {tag!r}")
+
+    read_records(path, "kgraphdb", DB_SCHEMA, record, finish_object)
     return db
 
 
@@ -448,9 +412,9 @@ def evaluate(
         sq_rot: list[float] = []
         for f, pose in seq.poses.items():
             true = compose(ground_truth.part_poses[part][f], inverse(ref))
-            err = relative(pose, true)
-            sq_pos.append(float(np.linalg.norm(err.t)) ** 2)
-            sq_rot.append(float(np.degrees(rotation_angle(err))) ** 2)
+            m, rad = pose_residual(pose, true)
+            sq_pos.append(m ** 2)
+            sq_rot.append(float(np.degrees(rad)) ** 2)
             all_pos.append(np.sqrt(sq_pos[-1]))
             all_rot.append(np.sqrt(sq_rot[-1]))
         pose_rmse_m[part] = float(np.sqrt(np.mean(sq_pos)))

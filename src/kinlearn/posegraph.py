@@ -197,28 +197,20 @@ def build_constraints(
     """
     frames = sorted(frames, key=lambda s: s.frame)
     by_frame = {s.frame: s for s in frames}
+    # no consecutive constraint across a gap
+    pairs = [(CONSECUTIVE, a, b) for a, b in zip(frames, frames[1:]) if b.frame - a.frame == 1]
+    pairs += [
+        (SPARSE, by_frame[b.frame - sparse_stride], b)
+        for b in frames
+        if b.frame - sparse_stride in by_frame
+    ]
     constraints: list[PoseConstraint] = []
-
-    for a, b in zip(frames, frames[1:]):
-        if b.frame - a.frame != 1:
-            continue  # gap: no consecutive constraint across it
+    for kind, a, b in pairs:
         try:
             delta, inl = estimate_delta(a, b, inlier_threshold, seed)
         except (InsufficientCorrespondences, DegenerateGeometry):
             continue
-        constraints.append(PoseConstraint(CONSECUTIVE, (a.frame, b.frame), delta, float(len(inl))))
-
-    for b in frames:
-        a = by_frame.get(b.frame - sparse_stride)
-        if a is None:
-            continue
-        if len(np.intersect1d(a.ids, b.ids)) < 3:
-            continue
-        try:
-            delta, inl = estimate_delta(a, b, inlier_threshold, seed)
-        except (InsufficientCorrespondences, DegenerateGeometry):
-            continue
-        constraints.append(PoseConstraint(SPARSE, (a.frame, b.frame), delta, float(len(inl))))
+        constraints.append(PoseConstraint(kind, (a.frame, b.frame), delta, float(len(inl))))
 
     consecutive_weights = [c.weight for c in constraints if c.kind == CONSECUTIVE]
     w_v = 0.1 * float(np.median(consecutive_weights)) if consecutive_weights else 1.0
@@ -279,77 +271,57 @@ def optimize(
     # free-variable slot per frame, -1 for the gauge-fixed first frame
     var = np.array([i - 1 for i in range(n)])
 
-    pairs = [c for c in constraints if c.kind in (CONSECUTIVE, SPARSE)]
-    vels = [c for c in constraints if c.kind == VELOCITY]
-    pairs = [c for c in pairs if all(f in index for f in c.frames)]
-    vels = [c for c in vels if all(f in index for f in c.frames)]
-    if (not pairs and not vels) or n < 2:
+    usable = [c for c in constraints if all(f in index for f in c.frames)]
+    pairs = [c for c in usable if c.kind != VELOCITY]
+    vels = [c for c in usable if c.kind == VELOCITY]
+    if not usable or n < 2:
         return ClusterPoseSequence(
             initial.cluster_id, dict(initial.poses), dict(initial.inlier_counts)
         )
 
-    pa = np.array([index[c.frames[0]] for c in pairs], dtype=int)
-    pb = np.array([index[c.frames[1]] for c in pairs], dtype=int)
-    pqd = np.array([c.delta.q for c in pairs]).reshape(-1, 4)
-    ptd = np.array([c.delta.t for c in pairs]).reshape(-1, 3)
-    psw = np.sqrt(np.array([c.weight for c in pairs]))
-    va = np.array([index[c.frames[0]] for c in vels], dtype=int)
-    vb = np.array([index[c.frames[1]] for c in vels], dtype=int)
-    vc = np.array([index[c.frames[2]] for c in vels], dtype=int)
-    vsw = np.sqrt(np.array([c.weight for c in vels]))
-    m, k = len(pairs), len(vels)
+    # residual groups, pairs then velocities, each a block of residual rows:
+    # (function, sqrt weights, frame index per slot, measurements, first row)
+    groups = []
+    row = 0
+    for fn, cs in ((_pair_residuals, pairs), (_velocity_residuals, vels)):
+        if not cs:
+            continue
+        slots = [np.array([index[c.frames[k]] for c in cs]) for k in range(len(cs[0].frames))]
+        measured = [] if cs[0].delta is None else [  # velocity factors measure nothing
+            np.array([c.delta.q for c in cs]), np.array([c.delta.t for c in cs])
+        ]
+        groups.append((fn, np.sqrt(np.array([c.weight for c in cs])), slots, measured, row))
+        row += len(cs)
+
+    def group_residuals(group, poses):
+        fn, sw, _, measured, _ = group
+        return sw[:, None] * fn(*(x for q_t in poses for x in q_t), *measured)
 
     def weighted_residuals(Q, T):
-        parts = []
-        if m:
-            parts.append(psw[:, None] * _pair_residuals(Q[pa], T[pa], Q[pb], T[pb], pqd, ptd))
-        if k:
-            parts.append(
-                vsw[:, None]
-                * _velocity_residuals(Q[va], T[va], Q[vb], T[vb], Q[vc], T[vc])
-            )
-        return np.concatenate(parts, axis=0) if parts else np.zeros((0, 6))
+        return np.concatenate([group_residuals(g, [(Q[i], T[i]) for i in g[2]]) for g in groups])
 
     def jacobian(Q, T, r0):
         # numerical Jacobian, one batched evaluation per (slot, axis)
         eps = 1e-6
         rows, cols, data = [], [], []
-        slots = []
-        if m:
-            slots += [("pair", 0, pa), ("pair", 1, pb)]
-        if k:
-            slots += [("vel", 0, va), ("vel", 1, vb), ("vel", 2, vc)]
-        for kind, slot, fidx in slots:
-            free = var[fidx] >= 0
-            if not free.any():
-                continue
-            for axis in range(6):
-                if kind == "pair":
-                    qs = [Q[pa], Q[pb]]
-                    ts = [T[pa], T[pb]]
-                    qs[slot], ts[slot] = _perturb(qs[slot], ts[slot], axis, eps)
-                    r = psw[:, None] * _pair_residuals(qs[0], ts[0], qs[1], ts[1], pqd, ptd)
-                    base_row = 0
-                    r_ref = r0[:m]
-                else:
-                    qs = [Q[va], Q[vb], Q[vc]]
-                    ts = [T[va], T[vb], T[vc]]
-                    qs[slot], ts[slot] = _perturb(qs[slot], ts[slot], axis, eps)
-                    r = vsw[:, None] * _velocity_residuals(
-                        qs[0], ts[0], qs[1], ts[1], qs[2], ts[2]
-                    )
-                    base_row = 6 * m
-                    r_ref = r0[m:] if m else r0
-                d = (r - r_ref) / eps  # (count, 6)
-                ci = np.flatnonzero(free)
-                col = 6 * var[fidx[ci]] + axis
-                rows.append((base_row + 6 * ci[:, None] + np.arange(6)).ravel())
-                cols.append(np.repeat(col, 6))
-                data.append(d[ci].ravel())
-        n_rows = 6 * (m + k)
+        for g in groups:
+            _, _, slots, _, first = g
+            poses = [(Q[i], T[i]) for i in slots]
+            r_ref = r0[first:first + len(slots[0])]
+            for slot, fidx in enumerate(slots):
+                ci = np.flatnonzero(var[fidx] >= 0)
+                if not len(ci):
+                    continue
+                for axis in range(6):
+                    moved = list(poses)
+                    moved[slot] = _perturb(*poses[slot], axis, eps)
+                    d = (group_residuals(g, moved) - r_ref) / eps  # (count, 6)
+                    rows.append((6 * (first + ci[:, None]) + np.arange(6)).ravel())
+                    cols.append(np.repeat(6 * var[fidx[ci]] + axis, 6))
+                    data.append(d[ci].ravel())
         return scipy.sparse.coo_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_rows, 6 * (n - 1)),
+            shape=(len(r0) * 6, 6 * (n - 1)),
         ).tocsr()
 
     r = weighted_residuals(Q, T)

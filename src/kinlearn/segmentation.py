@@ -69,13 +69,12 @@ def similarity_matrix(
 ) -> SimilarityMatrix:
     """Similarity of every trajectory pair; the package's only kernel.
 
-    Rows/columns follow ascending trajectory id; the diagonal is 1.
+    Rows/columns follow ascending trajectory id; the diagonal is 1. With
+    fewer than 2 trajectories there is no pair and no off-diagonal entry.
     :func:`pair_similarity` is the two-row form of this function.
     """
     params = params or SimilarityParams()
     trajs = sorted(demo.trajectories, key=lambda t: t.id)
-    if len(trajs) < 2:
-        raise ValueError("similarity_matrix needs >= 2 trajectories")
     n = len(trajs)
     n_frames = demo.n_frames()
 
@@ -128,16 +127,14 @@ class ClusterAssignment:
     """Trajectory id -> cluster id (NOISE = -1), plus the reverse map."""
 
     labels: dict[int, int]
-    clusters: dict[int, list[int]] = field(default_factory=dict)
+    clusters: dict[int, list[int]] = field(init=False)
 
     def __post_init__(self):
-        if not self.clusters:
-            clusters: dict[int, list[int]] = {}
-            for tid in sorted(self.labels):
-                cid = self.labels[tid]
-                if cid != NOISE:
-                    clusters.setdefault(cid, []).append(tid)
-            self.clusters = clusters
+        self.clusters = {}
+        for tid in sorted(self.labels):
+            cid = self.labels[tid]
+            if cid != NOISE:
+                self.clusters.setdefault(cid, []).append(tid)
 
     def n_clusters(self) -> int:
         return len(self.clusters)

@@ -133,7 +133,8 @@ class ObjectSpec:
         return replace(self, **kw)
 
 
-def _validate(spec: ObjectSpec, frames: int) -> None:
+def _validate(spec: ObjectSpec, frames: int) -> list[JointSpec]:
+    """Reject a malformed spec; return its joints in parent-first order."""
     k = len(spec.parts)
     if k < 1:
         raise InvalidSpec("object needs at least one part")
@@ -141,6 +142,13 @@ def _validate(spec: ObjectSpec, frames: int) -> None:
         raise InvalidSpec(f"frames must be >= 10, got {frames}")
     if spec.features_per_part < 3:
         raise InvalidSpec("features_per_part must be >= 3")
+    if spec.noise_sigma_pos < 0 or spec.noise_sigma_normal < 0:
+        raise InvalidSpec(
+            f"noise sigmas must be >= 0, got {spec.noise_sigma_pos} m "
+            f"and {spec.noise_sigma_normal} rad"
+        )
+    if not 0 <= spec.dropout_prob < 1:
+        raise InvalidSpec(f"dropout_prob must lie in [0, 1), got {spec.dropout_prob}")
     if len(spec.joints) != k - 1:
         raise InvalidSpec(f"{k} parts need {k - 1} joints, got {len(spec.joints)}")
     seen_children = set()
@@ -154,36 +162,30 @@ def _validate(spec: ObjectSpec, frames: int) -> None:
         seen_children.add(j.child)
         if j.kind != RIGID and abs(np.linalg.norm(j.axis) - 1.0) > 1e-6:
             raise InvalidSpec(f"joint ({j.parent}, {j.child}): axis is not unit length")
-    # reachability from the root
+    # walk out from the root; a joint never reached hangs off a cycle
     children = {}
     for j in spec.joints:
-        children.setdefault(j.parent, []).append(j.child)
-    reached, stack = {0}, [0]
+        children.setdefault(j.parent, []).append(j)
+    order, stack = [], [0]
     while stack:
-        for c in children.get(stack.pop(), []):
-            reached.add(c)
-            stack.append(c)
-    if len(reached) != k:
+        for j in children.get(stack.pop(), []):
+            order.append(j)
+            stack.append(j.child)
+    if len(order) != k - 1:
         raise InvalidSpec("joint tree does not reach every part")
+    return order
 
 
-def _part_pose_sequences(spec: ObjectSpec, frames: int):
-    """Per-part pose per frame, plus per-joint configuration arrays."""
+def _part_pose_sequences(joints, frames: int):
+    """Per-part pose per frame and per-child configuration array, for
+    ``joints`` in parent-first order."""
     s = np.arange(frames) / max(frames - 1, 1)
-    q_by_joint = [j.profile.value(s) for j in spec.joints]
     poses = {0: [Pose.identity()] * frames}
-    # parents precede children when processed in BFS order
-    pending = list(range(len(spec.joints)))
-    while pending:
-        for idx in list(pending):
-            j = spec.joints[idx]
-            if j.parent in poses:
-                qs = q_by_joint[idx]
-                poses[j.child] = [
-                    compose(poses[j.parent][f], j.transform(qs[f])) for f in range(frames)
-                ]
-                pending.remove(idx)
-    return poses, q_by_joint
+    q_of_child = {}
+    for j in joints:
+        qs = q_of_child[j.child] = j.profile.value(s)
+        poses[j.child] = [compose(poses[j.parent][f], j.transform(qs[f])) for f in range(frames)]
+    return poses, q_of_child
 
 
 def generate(spec: ObjectSpec, frames: int, seed: int) -> Demonstration:
@@ -194,9 +196,8 @@ def generate(spec: ObjectSpec, frames: int, seed: int) -> Demonstration:
     at the death frame. Tracks left with fewer than 2 observations are
     removed entirely.
     """
-    _validate(spec, frames)
     rng = np.random.default_rng(seed)
-    part_poses, q_by_joint = _part_pose_sequences(spec, frames)
+    part_poses, q_of_child = _part_pose_sequences(_validate(spec, frames), frames)
 
     # renewal chains: one per (part, feature slot)
     tracks = []  # (id, part, body_pos, body_normal, start, stop)
@@ -249,9 +250,9 @@ def generate(spec: ObjectSpec, frames: int, seed: int) -> Demonstration:
             j.kind,
             np.asarray(j.axis if j.kind != RIGID else (0.0, 0.0, 0.0), dtype=float),
             np.asarray(j.origin, dtype=float),
-            np.asarray(q_by_joint[idx]),
+            np.asarray(q_of_child[j.child]),
         )
-        for idx, j in enumerate(spec.joints)
+        for j in spec.joints
     ]
     gt = GroundTruth(labels, part_poses, gt_joints)
     return Demonstration(trajectories, frame_rate=30.0, ground_truth=gt)

@@ -13,14 +13,18 @@ indices inside a group. Ground truth lives in a sidecar ``.gt`` file (see
 ``save_ground_truth``) holding part labels, per-part per-frame poses and
 the true joint specs with their configuration sequences.
 
-Floats are written with ``repr`` so the round trip is lossless and runs
-are byte-identical for a fixed seed.
+This module owns the text format of every file the package writes:
+``fmt_floats`` writes each float with ``repr`` (so the round trip is
+lossless and runs are byte-identical for a fixed seed), ``write_lines``
+writes every file, and ``read_records`` reads every record file (``.traj``,
+``.gt`` and the model database), checking its header and schema and
+reporting parse errors with their line numbers.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,7 +157,7 @@ class Demonstration:
             self.ground_truth.validate(ids)
 
     def n_frames(self) -> int:
-        return 1 + max(int(t.frames[-1]) for t in self.trajectories)
+        return 1 + max((int(t.frames[-1]) for t in self.trajectories), default=-1)
 
     def by_id(self) -> dict[int, FeatureTrajectory]:
         return {t.id: t for t in self.trajectories}
@@ -169,11 +173,54 @@ class Demonstration:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# text files
 
 
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+def fmt_floats(values, sep: str = " ") -> str:
+    """The text form of every float the package writes: ``repr``, so that
+    reading it back is lossless."""
+    return sep.join(repr(float(v)) for v in values)
+
+
+def write_lines(path: str, lines) -> None:
+    """Write ``lines`` to ``path``, each one newline-terminated."""
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def read_records(path: str, tag: str, schema: int, record, finish=None, fields=()):
+    """Read a record file whose header is ``<tag> <schema> <fields...>``.
+
+    Rejects an empty file, a wrong header and another schema version,
+    then calls ``record(parts)`` with the split fields of every non-blank
+    line after the header and, once the file is read, ``finish()``. A
+    ValueError or IndexError raised while handling line n becomes
+    ``ParseError(line=n)``; for ``finish`` n is the line past the end.
+    Returns the header's ``fields`` parsed as floats (errors: line 1).
+    """
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if not lines:
+        raise ParseError("empty file", line=1)
+    header = lines[0].split()
+    if len(header) != 2 + len(fields) or header[0] != tag:
+        expected = " ".join([tag, "<schema>", *(f"<{name}>" for name in fields)])
+        raise ParseError(f"expected header {expected!r}", line=1)
+    if header[1] != str(schema):
+        raise SchemaVersionMismatch(header[1], str(schema))
+    lineno = 1
+    try:
+        values = [float(v) for v in header[2:]]
+        for lineno, raw in enumerate(lines[1:], start=2):
+            parts = raw.split()
+            if parts:
+                record(parts)
+        lineno = len(lines) + 1
+        if finish is not None:
+            finish()
+    except (ValueError, IndexError) as exc:
+        raise ParseError(str(exc), line=lineno) from None
+    return values
 
 
 def gt_path_for(path: str) -> str:
@@ -183,12 +230,11 @@ def gt_path_for(path: str) -> str:
 
 def save(demo: Demonstration, path: str, with_ground_truth: bool = True) -> None:
     """Write a demonstration; ground truth goes to the ``.gt`` sidecar."""
-    lines = [f"traj {TRAJ_SCHEMA} {demo.frame_rate!r}"]
+    lines = [f"traj {TRAJ_SCHEMA} {fmt_floats((demo.frame_rate,))}"]
     for traj in demo.trajectories:
         for o in traj.observations:
-            lines.append(f"{traj.id} {o.frame} {_fmt(o.position)} {_fmt(o.normal)}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+            lines.append(f"{traj.id} {o.frame} {fmt_floats(o.position)} {fmt_floats(o.normal)}")
+    write_lines(path, lines)
     if with_ground_truth and demo.ground_truth is not None:
         save_ground_truth(demo.ground_truth, gt_path_for(path))
 
@@ -199,128 +245,92 @@ def save_ground_truth(gt: GroundTruth, path: str) -> None:
         lines.append(f"label {tid} {gt.labels[tid]}")
     for part in sorted(gt.part_poses):
         for frame, pose in enumerate(gt.part_poses[part]):
-            lines.append(f"pose {part} {frame} {_fmt(pose.q)} {_fmt(pose.t)}")
+            lines.append(f"pose {part} {frame} {fmt_floats(pose.q)} {fmt_floats(pose.t)}")
     for j in gt.joints:
         lines.append(
-            f"joint {j.parent} {j.child} {j.kind} {_fmt(j.axis)} {_fmt(j.origin)}"
+            f"joint {j.parent} {j.child} {j.kind} {fmt_floats(j.axis)} {fmt_floats(j.origin)}"
         )
         for frame, q in enumerate(j.configurations):
-            lines.append(f"config {j.parent} {j.child} {frame} {float(q)!r}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+            lines.append(f"config {j.parent} {j.child} {frame} {fmt_floats((q,))}")
+    write_lines(path, lines)
 
 
 def load(path: str) -> Demonstration:
     """Read a ``.traj`` file; loads the ``.gt`` sidecar when present."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "traj":
-        raise ParseError("expected header 'traj <schema> <frame_rate>'", line=1)
-    if header[1] != str(TRAJ_SCHEMA):
-        raise SchemaVersionMismatch(header[1], str(TRAJ_SCHEMA))
-    frame_rate = float(header[2])
-
     trajectories: list[FeatureTrajectory] = []
     seen: set[int] = set()
     cur_id: int | None = None
     cur_obs: list[FeatureObservation] = []
     last_frame = -1
 
-    def flush(lineno):
+    def flush():
         if cur_id is None:
             return
         if len(cur_obs) < 2:
-            raise ParseError(f"trajectory {cur_id} has fewer than 2 observations", line=lineno)
+            raise ValueError(f"trajectory {cur_id} has fewer than 2 observations")
         trajectories.append(FeatureTrajectory(cur_id, tuple(cur_obs)))
 
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
+    def record(parts):
+        nonlocal cur_id, cur_obs, last_frame
         if len(parts) != 8:
-            raise ParseError(f"expected 8 fields, got {len(parts)}", line=lineno)
-        try:
-            tid = int(parts[0])
-            frame = int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+            raise ValueError(f"expected 8 fields, got {len(parts)}")
+        tid = int(parts[0])
+        frame = int(parts[1])
+        vals = [float(v) for v in parts[2:]]
         if tid != cur_id:
-            flush(lineno)
+            flush()
             if tid in seen:
-                raise ParseError(f"duplicate id {tid}", line=lineno)
+                raise ValueError(f"duplicate id {tid}")
             seen.add(tid)
-            cur_id = tid
-            cur_obs = []
-            last_frame = -1
+            cur_id, cur_obs, last_frame = tid, [], -1
         if frame <= last_frame:
-            raise ParseError(
-                f"trajectory {tid}: frame {frame} not increasing", line=lineno
-            )
+            raise ValueError(f"trajectory {tid}: frame {frame} not increasing")
         last_frame = frame
         cur_obs.append(FeatureObservation(frame, np.array(vals[:3]), np.array(vals[3:])))
-    flush(len(lines) + 1)
 
-    gt = None
+    (frame_rate,) = read_records(path, "traj", TRAJ_SCHEMA, record, flush, ("frame_rate",))
     gt_path = gt_path_for(path)
-    if os.path.exists(gt_path):
-        gt = load_ground_truth(gt_path)
-    return Demonstration(trajectories, frame_rate, gt)
+    gt = load_ground_truth(gt_path) if os.path.exists(gt_path) else None
+    try:
+        return Demonstration(trajectories, frame_rate, gt)
+    except ValueError as exc:  # the ground truth does not label every trajectory
+        raise ParseError(f"{gt_path}: {exc}") from None
 
 
 def load_ground_truth(path: str) -> GroundTruth:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", line=1)
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "gt":
-        raise ParseError("expected header 'gt <schema>'", line=1)
-    if header[1] != str(GT_SCHEMA):
-        raise SchemaVersionMismatch(header[1], str(GT_SCHEMA))
-
     labels: dict[int, int] = {}
     poses: dict[int, dict[int, Pose]] = {}
     joints: dict[tuple[int, int], dict] = {}
     configs: dict[tuple[int, int], dict[int, float]] = {}
 
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        try:
-            tag = parts[0]
-            if tag == "label":
-                labels[int(parts[1])] = int(parts[2])
-            elif tag == "pose":
-                part, frame = int(parts[1]), int(parts[2])
-                vals = [float(v) for v in parts[3:]]
-                if len(vals) != 7:
-                    raise ParseError("pose record needs 7 floats", line=lineno)
-                poses.setdefault(part, {})[frame] = Pose(np.array(vals[:4]), np.array(vals[4:]))
-            elif tag == "joint":
-                key = (int(parts[1]), int(parts[2]))
-                kind = parts[3]
-                if kind not in JOINT_KINDS:
-                    raise ParseError(f"unknown joint kind {kind!r}", line=lineno)
-                vals = [float(v) for v in parts[4:]]
-                joints[key] = {
-                    "kind": kind,
-                    "axis": np.array(vals[:3]),
-                    "origin": np.array(vals[3:]),
-                }
-            elif tag == "config":
-                key = (int(parts[1]), int(parts[2]))
-                configs.setdefault(key, {})[int(parts[3])] = float(parts[4])
-            else:
-                raise ParseError(f"unknown record tag {tag!r}", line=lineno)
-        except ParseError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise ParseError(str(exc), line=lineno) from None
+    def record(parts):
+        tag = parts[0]
+        if tag == "label":
+            labels[int(parts[1])] = int(parts[2])
+        elif tag == "pose":
+            part, frame = int(parts[1]), int(parts[2])
+            vals = [float(v) for v in parts[3:]]
+            if len(vals) != 7:
+                raise ValueError("pose record needs 7 floats")
+            poses.setdefault(part, {})[frame] = Pose(np.array(vals[:4]), np.array(vals[4:]))
+        elif tag == "joint":
+            key = (int(parts[1]), int(parts[2]))
+            kind = parts[3]
+            if kind not in JOINT_KINDS:
+                raise ValueError(f"unknown joint kind {kind!r}")
+            vals = [float(v) for v in parts[4:]]
+            joints[key] = {
+                "kind": kind,
+                "axis": np.array(vals[:3]),
+                "origin": np.array(vals[3:]),
+            }
+        elif tag == "config":
+            key = (int(parts[1]), int(parts[2]))
+            configs.setdefault(key, {})[int(parts[3])] = float(parts[4])
+        else:
+            raise ValueError(f"unknown record tag {tag!r}")
+
+    read_records(path, "gt", GT_SCHEMA, record)
 
     part_poses: dict[int, list[Pose]] = {}
     for part, by_frame in poses.items():

@@ -71,6 +71,17 @@ class TestGenerate:
                             "--seed", "0", "-o", str(tmp_path / "x.traj")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--noise", "-1"], ["--dropout", "1.0"], ["--dropout", "-0.1"],
+    ])
+    def test_bad_noise_settings_exit_2(self, tmp_path, flags):
+        out = tmp_path / "x.traj"
+        code, _, err = run(["generate", "--object", "door", "--frames", "20",
+                            *flags, "-o", str(out)])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSegment:
     def test_reports_two_clusters(self, door_files):
@@ -265,6 +276,70 @@ class TestEval:
         traj, db, _ = door_files
         code, _, _ = run(["eval", db, traj, "--object", "toaster"])
         assert code == 5
+
+
+def door_copy(door_files, tmp_path, name, edit_traj=None, edit_gt=None):
+    """The door demo under a new name, with its .traj and .gt lines edited."""
+    traj, _, _ = door_files
+    out = tmp_path / f"{name}.traj"
+    for src, dst, edit in ((traj, out, edit_traj),
+                           (trajectories.gt_path_for(traj), out.with_suffix(".gt"), edit_gt)):
+        lines = open(src).read().splitlines()
+        dst.write_text("\n".join(edit(lines) if edit else lines) + "\n")
+    return str(out)
+
+
+class TestCrashPaths:
+    """Malformed inputs exit with their documented code and one error line."""
+
+    @pytest.mark.parametrize("which", ["traj", "gt"])
+    def test_other_schema_exits_2(self, door_files, tmp_path, which):
+        def v9(lines):
+            return [lines[0].replace(" 1", " 9", 1)] + lines[1:]
+
+        p = door_copy(door_files, tmp_path, "v9", **{f"edit_{which}": v9})
+        code, _, err = run(["segment", p])
+        assert code == 2
+        assert err == "error: schema version '9', expected '1'\n"
+
+    def test_unlabeled_trajectory_names_gt(self, door_files, tmp_path):
+        p = door_copy(door_files, tmp_path, "nolabel",
+                      edit_gt=lambda lines: [l for l in lines if l != "label 0 0"])
+        code, _, err = run(["segment", p])
+        assert code == 2
+        assert err == f"error: {tmp_path / 'nolabel.gt'}: trajectory 0 has no part label\n"
+
+    def test_non_numeric_frame_rate_is_line_1(self, door_files, tmp_path):
+        p = door_copy(door_files, tmp_path, "rate",
+                      edit_traj=lambda lines: ["traj 1 fast"] + lines[1:])
+        code, _, err = run(["segment", p])
+        assert code == 2
+        assert err.startswith("error: line 1: ") and "'fast'" in err
+
+    def test_non_numeric_schedule_exits_2(self, door_files, tmp_path):
+        _, db, _ = door_files
+        sched = tmp_path / "sched.txt"
+        sched.write_text("0.1\nabc\n")
+        code, _, err = run(["predict", db, "--object", "door", "--schedule", str(sched)])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_single_trajectory(self, door_files, tmp_path):
+        # one trajectory has no pair to compare: no cluster, exit 3, and a
+        # failed eval row rather than a crash
+        p = door_copy(door_files, tmp_path, "one",
+                      edit_traj=lambda lines: [l for l in lines if l.split()[0] in ("traj", "0")])
+        code, out, err = run(["segment", p])
+        assert (code, out) == (3, "clusters: 0 (noise: 1)\n")
+        assert err == "error: fewer than 2 clusters; nothing articulated to learn\n"
+        code, _, err = run(["learn", p, "--object", "door", "-o", str(tmp_path / "one.db")])
+        assert code == 3
+        assert err == "error: segmentation produced 0 cluster(s); need at least 2\n"
+        traj, db, _ = door_files
+        code, out, _ = run(["eval", db, p, traj, "--object", "door", "--seed", "1"])
+        assert code == 0
+        assert f"{p}: FAIL (segmentation produced 0 cluster(s); need at least 2)" in out
+        assert "door: 1/2 success" in out
 
 
 class TestErrors:

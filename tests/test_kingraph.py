@@ -14,7 +14,7 @@ from kinlearn.errors import (
     UnknownObject,
 )
 from kinlearn.geometry import Pose, compose, inverse, pose_distance, relative
-from kinlearn.joints import relative_pose_sequence
+from kinlearn.joints import JointModel, relative_pose_sequence
 from kinlearn.kingraph import (
     KinematicGraph,
     ModelDatabase,
@@ -223,6 +223,30 @@ class TestPredict:
         for v in graph.vertices:
             assert pclose(moved[v], compose(g, plain[v]), 1e-9)
 
+    def test_child_first_chain_composes_edge_models(self):
+        # 0 -> 1 prismatic, then 1 -> 2 revolute stored as (2, 1): the
+        # far edge comes first and points at the root, so the walk must
+        # reach part 1 before it and invert its model
+        slide = JointModel(
+            "prismatic",
+            {"axis": np.array([0.0, 1.0, 0.0]), "base": np.array([0.1, 0.0, 0.0]),
+             "rotation": np.array([1.0, 0.0, 0.0, 0.0])},
+            8, 0.0, 0.0, np.array([0.0, 0.4]),
+        )
+        hinge = JointModel(
+            "revolute",
+            {"axis": np.array([1.0, 0.0, 0.0]), "center": np.array([0.0, 0.0, 0.5]),
+             "base": Pose.from_rotvec([0.0, 0.3, 0.0], [0.2, 0.1, 0.9])},
+            9, 0.0, 0.0, np.array([0.0, 1.0]),
+        )
+        graph = KinematicGraph("chain", (0, 1, 2), ((2, 1, hinge), (0, 1, slide)))
+        poses = predict(graph, {(0, 1): 0.25, (1, 2): 0.7})
+        p1 = slide.predict(0.25)
+        p2 = compose(p1, inverse(hinge.predict(0.7)))
+        assert poses[0] == Pose.identity()
+        assert poses[1] == p1
+        assert poses[2] == p2
+
     def test_missing_configuration(self):
         demo, assignment, seqs, graph = run_pipeline("door")
         with pytest.raises(MissingConfiguration):
@@ -347,6 +371,15 @@ class TestDatabase:
         lines[3] = "mystery record"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 4"):
+            load_db(str(path))
+
+    def test_edge_without_configs_is_parse_error(self, tmp_path):
+        path = tmp_path / "models.db"
+        path.write_text(
+            "kgraphdb 1\nobject slab\nvertices 0 1\nedge 0 1 rigid 6 0.0 0.0 0\n"
+            "param rotation 1.0 0.0 0.0 0.0\nparam translation 0.0 0.0 0.0\n"
+        )
+        with pytest.raises(ParseError, match=r"line 7: edge \(0, 1\) incomplete: missing \['configs'\]"):
             load_db(str(path))
 
     def test_tree_invariant_checked_on_load(self, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from kinlearn import synth, trajectories
 from kinlearn.errors import InvalidSpec, ParseError, SchemaVersionMismatch
 from kinlearn.geometry import apply_pose
 from kinlearn.synth import JointSpec, MotionProfile, ObjectSpec, PartSpec
-from kinlearn.trajectories import load, save
+from kinlearn.kingraph import load_db
+from kinlearn.trajectories import load, load_ground_truth, save
 
 
 def single_part_spec(**kw):
@@ -109,6 +112,28 @@ class TestGenerator:
             synth.generate(cyclic, frames=20, seed=0)
 
 
+    @pytest.mark.parametrize("setting", [
+        {"noise_sigma_pos": -0.001},
+        {"noise_sigma_normal": -0.1},
+        {"dropout_prob": 1.0},
+        {"dropout_prob": -0.1},
+    ])
+    def test_invalid_noise_settings(self, setting):
+        with pytest.raises(InvalidSpec):
+            synth.generate(single_part_spec(**setting), frames=20, seed=0)
+
+    def test_joint_order_does_not_matter(self):
+        # the monitor's joints listed child-first generate the same demo
+        spec = synth.default_specs()["monitor"].with_noise(sigma_pos=0.002)
+        flipped = dataclasses.replace(spec, joints=spec.joints[::-1])
+        a = synth.generate(spec, frames=20, seed=3)
+        b = synth.generate(flipped, frames=20, seed=3)
+        assert a.trajectories == b.trajectories
+        assert a.ground_truth.labels == b.ground_truth.labels
+        assert a.ground_truth.part_poses == b.ground_truth.part_poses
+        assert a.ground_truth.joints == b.ground_truth.joints[::-1]
+
+
 class TestCatalog:
     def test_catalog_contents(self):
         specs = synth.default_specs()
@@ -189,3 +214,48 @@ class TestSerialization:
         with pytest.raises(SchemaVersionMismatch) as err:
             load(str(path))
         assert "9" in str(err.value) and "1" in str(err.value)
+
+
+# per record format: loader, header "{tag} {schema}" with the fields that
+# follow it, two well-formed records and one malformed record
+RECORD_FILES = {
+    ".traj": (load, "traj {} 30.0", ["0 0 0 0 0 0 0 1", "0 1 0 0 0 0 0 1"], "0 2 0 0 x 0 0 1"),
+    ".gt": (load_ground_truth, "gt {}", ["label 0 0", "label 1 0"], "label x 0"),
+    ".db": (load_db, "kgraphdb {}", ["object solo", "vertices 0"], "vertices a"),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(RECORD_FILES))
+class TestRecordFiles:
+    def load(self, tmp_path, suffix, lines):
+        path = tmp_path / f"f{suffix}"
+        path.write_text("".join(line + "\n" for line in lines))
+        return RECORD_FILES[suffix][0](str(path))
+
+    def test_well_formed_file_loads(self, tmp_path, suffix):
+        _, header, records, _ = RECORD_FILES[suffix]
+        self.load(tmp_path, suffix, [header.format(1), *records])
+
+    def test_empty_file(self, tmp_path, suffix):
+        with pytest.raises(ParseError, match="empty file") as err:
+            self.load(tmp_path, suffix, [])
+        assert err.value.line == 1
+
+    def test_wrong_tag(self, tmp_path, suffix):
+        _, header, records, _ = RECORD_FILES[suffix]
+        wrong = "nope " + header.format(1).split(" ", 1)[1]
+        with pytest.raises(ParseError, match="expected header") as err:
+            self.load(tmp_path, suffix, [wrong, *records])
+        assert err.value.line == 1
+
+    def test_wrong_schema(self, tmp_path, suffix):
+        _, header, records, _ = RECORD_FILES[suffix]
+        with pytest.raises(SchemaVersionMismatch, match="'7', expected '1'"):
+            self.load(tmp_path, suffix, [header.format(7), *records])
+
+    def test_bad_record_line_number(self, tmp_path, suffix):
+        # the blank line 3 is skipped but still counted
+        _, header, records, bad = RECORD_FILES[suffix]
+        with pytest.raises(ParseError, match="^line 4: ") as err:
+            self.load(tmp_path, suffix, [header.format(1), records[0], "", bad])
+        assert err.value.line == 4

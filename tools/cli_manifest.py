@@ -1,0 +1,193 @@
+"""Byte-identity manifest of the kinlearn command line.
+
+Runs a fixed matrix of ``kinlearn`` commands in a fresh, empty directory
+and prints one line per command (argv, exit code, sha256 of stdout and of
+stderr) and one line per file left in the directory (name, sha256). The
+matrix covers every catalog object, clean and noisy, through generate,
+segment, learn --dump-similarity, predict and eval, plus the error paths
+of every subcommand.
+
+The commands run in-process through ``kinlearn.cli.main``, taken from
+whichever ``kinlearn`` is first on the import path. Warnings are written
+to the captured stderr as ``Category: message`` and an uncaught exception
+as ``uncaught Type: message`` with exit code 1, so that no source path or
+line number of the package enters the manifest. Standard library only.
+
+Two trees are compared by diffing their manifests:
+
+    PYTHONPATH=<tree-a>/src python3 tools/cli_manifest.py > a.txt
+    PYTHONPATH=<tree-b>/src python3 tools/cli_manifest.py > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+
+OBJECTS = ("door", "drawer", "fridge", "laptop", "microwave", "chair", "monitor")
+VARIANTS = {"clean": [], "noisy": ["--noise", "0.005", "--dropout", "0.02"]}
+FRAMES = "30"
+SEED = "1"
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    from kinlearn.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    crash = ""
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv, stdout=out, stderr=err)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:  # a crash path: record it, keep going
+            crash = f"uncaught {type(exc).__name__}: {exc}\n"
+            code = 1
+    text = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), text + err.getvalue() + crash
+
+
+def pipeline_commands():
+    cmds = []
+    for obj in OBJECTS:
+        for variant, noise in VARIANTS.items():
+            stem = f"{obj}-{variant}"
+            traj, db = f"{stem}.traj", f"{stem}.db"
+            cmds += [
+                ["generate", "--object", obj, "--frames", FRAMES, "--seed", SEED,
+                 *noise, "-o", traj],
+                ["segment", traj],
+                ["segment", traj, "--format", "csv", "-o", f"{stem}.seg.csv",
+                 "--dump-similarity", f"{stem}.seg-sim.csv"],
+                ["learn", traj, "--object", obj, "--seed", SEED,
+                 "--dump-similarity", f"{stem}.sim.csv", "-o", db],
+                ["predict", db, "--object", obj, "--sweep", "0:1:0.1",
+                 "-o", f"{stem}.pred.csv"],
+                ["eval", db, traj, "--object", obj, "--seed", SEED],
+                ["eval", db, traj, "--object", obj, "--seed", SEED,
+                 "--format", "csv", "-o", f"{stem}.eval.csv"],
+            ]
+    return cmds
+
+
+def write(name: str, text: str) -> None:
+    with open(name, "w") as f:
+        f.write(text)
+
+
+def read(name: str) -> str:
+    with open(name) as f:
+        return f.read()
+
+
+def make_bad_inputs() -> None:
+    """Malformed inputs derived from the clean door demo and its model."""
+    traj, gt = read("door-clean.traj"), read("door-clean.gt")
+    lines, gt_lines = traj.splitlines(), gt.splitlines()
+    write("empty.traj", "")
+    write("header.traj", "hello\n")
+    write("v9.traj", "\n".join(["traj 9 30.0"] + lines[1:]) + "\n")
+    write("rate.traj", "\n".join(["traj 1 fast"] + lines[1:]) + "\n")
+    write("badrec.traj", "\n".join(lines[:2] + [lines[2].rsplit(" ", 1)[0]] + lines[3:]) + "\n")
+    write("v9gt.traj", traj)
+    write("v9gt.gt", "\n".join(["gt 9"] + gt_lines[1:]) + "\n")
+    write("nolabel.traj", traj)
+    first_label = next(i for i, l in enumerate(gt_lines) if l.startswith("label "))
+    write("nolabel.gt", "\n".join(gt_lines[:first_label] + gt_lines[first_label + 1:]) + "\n")
+    first_id = lines[1].split()[0]
+    write("one.traj", "\n".join([lines[0]] + [l for l in lines[1:] if l.split()[0] == first_id]) + "\n")
+    write("one.gt", gt)
+    write("zero.traj", lines[0] + "\n")
+    write("bare.traj", traj)
+    write("sched-bad.txt", "0.1\nabc\n")
+    write("sched-cols.txt", "0.1 0.2\n")
+    write("sched-monitor.txt", "0.1 0.2\n0.3 0.4\n")
+    write("corrupt.db", "garbage\n")
+    write("v9.db", "kgraphdb 99\n")
+    write("empty.db", "")
+    db_lines = read("door-clean.db").splitlines()
+    write("twice.db", "\n".join(db_lines + db_lines[1:]) + "\n")
+
+
+def error_commands():
+    door = ["--object", "door"]
+    gen = ["generate", *door, "--frames", FRAMES]
+    return [
+        ["generate", "--object", "spaceship", "-o", "x.traj"],
+        [*gen[:3], "--frames", "5", "-o", "x.traj"],
+        [*gen, "--noise", "-1", "-o", "noise-neg.traj"],
+        [*gen, "--dropout", "1.0", "-o", "drop-one.traj"],
+        [*gen, "--dropout", "-0.1", "-o", "drop-neg.traj"],
+        ["segment", "missing.traj"],
+        ["segment", "empty.traj"],
+        ["segment", "header.traj"],
+        ["segment", "v9.traj"],
+        ["segment", "rate.traj"],
+        ["segment", "badrec.traj"],
+        ["segment", "v9gt.traj"],
+        ["segment", "nolabel.traj"],
+        ["segment", "one.traj", "--dump-similarity", "one.seg-sim.csv"],
+        ["segment", "zero.traj"],
+        ["learn", "one.traj", *door, "--dump-similarity", "one.sim.csv", "-o", "one.db"],
+        ["learn", "zero.traj", *door, "-o", "zero.db"],
+        ["learn", "v9.traj", *door, "-o", "v9.out.db"],
+        ["eval", "door-clean.db", "one.traj", "door-clean.traj", *door],
+        ["eval", "door-clean.db", "bare.traj", *door],
+        ["eval", "door-clean.db", "missing.traj", *door],
+        ["eval", "door-clean.db", "door-clean.traj", "--object", "toaster"],
+        ["eval", "corrupt.db", "door-clean.traj", *door],
+        ["predict", "door-clean.db", "--object", "toaster", "--sweep", "0:1:0.5"],
+        ["predict", "door-clean.db", *door],
+        ["predict", "door-clean.db", *door, "--sweep", "1:0:0.1"],
+        ["predict", "door-clean.db", *door, "--sweep", "a:b:c"],
+        ["predict", "door-clean.db", *door, "--schedule", "sched-bad.txt"],
+        ["predict", "door-clean.db", *door, "--schedule", "sched-cols.txt"],
+        ["predict", "door-clean.db", *door, "--schedule", "missing.txt"],
+        ["predict", "monitor-clean.db", "--object", "monitor",
+         "--schedule", "sched-monitor.txt", "-o", "monitor.sched.csv"],
+        ["predict", "corrupt.db", *door, "--sweep", "0:1:0.5"],
+        ["predict", "v9.db", *door, "--sweep", "0:1:0.5"],
+        ["predict", "empty.db", *door, "--sweep", "0:1:0.5"],
+        ["predict", "missing.db", *door, "--sweep", "0:1:0.5"],
+        ["predict", "twice.db", *door, "--sweep", "0:1:0.5"],
+    ]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="cli-manifest-") as root:
+        os.chdir(root)
+        for argv in pipeline_commands():
+            report(argv)
+        make_bad_inputs()
+        for argv in error_commands():
+            report(argv)
+        for name in sorted(os.listdir(root)):
+            with open(name, "rb") as f:
+                print(f"file {name} {sha(f.read())}")
+        os.chdir("/")
+    return 0
+
+
+def report(argv) -> None:
+    code, out, err = run(argv)
+    line = f"cmd {' '.join(argv)} | exit {code} | stdout {sha(out.encode())} | stderr {sha(err.encode())}"
+    if code != 0:
+        line += f" | {err.strip().splitlines()[-1] if err.strip() else ''}"
+    print(line, flush=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
