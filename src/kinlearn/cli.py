@@ -248,10 +248,7 @@ def cmd_predict(args, stdout, stderr) -> int:
     lines = [",".join(header)]
     for r, qrow in enumerate(rows):
         configs = {(a, b): q for (a, b, _), q in zip(free_edges, qrow)}
-        extrapolated = any(
-            not (m.q_range()[0] <= q <= m.q_range()[1])
-            for (_, _, m), q in zip(free_edges, qrow)
-        )
+        extrapolated = any(m.extrapolates(q) for (_, _, m), q in zip(free_edges, qrow))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             poses = predict(graph, configs)
@@ -274,9 +271,7 @@ def cmd_eval(args, stdout, stderr) -> int:
         try:
             _, assignment = _segment(demo, args)
             seqs, graph = _learn_pipeline(demo, assignment, args)
-            report = evaluate(
-                graph, seqs, assignment, demo.ground_truth, _noise_model(args)
-            )
+            report = evaluate(graph, seqs, assignment, demo.ground_truth)
         except KinlearnError as exc:
             rows.append((demo_path, False, False, float("nan"), float("nan"), str(exc)))
             continue

@@ -135,6 +135,11 @@ class JointModel:
             return (0.0, 0.0)
         return (float(self.configurations.min()), float(self.configurations.max()))
 
+    def extrapolates(self, q: float) -> bool:
+        """Whether configuration ``q`` lies outside the observed range."""
+        lo, hi = self.q_range()
+        return not lo <= q <= hi
+
     def project(self, delta: Pose) -> float:
         """Best-fitting configuration for one observed relative pose."""
         if self.kind == RIGID:

@@ -177,8 +177,8 @@ def predict(
                 raise MissingConfiguration(
                     f"edge ({a}, {b}) [{model.kind}] needs a configuration"
                 )
-            lo, hi = model.q_range()
-            if not lo <= q <= hi:
+            if model.extrapolates(q):
+                lo, hi = model.q_range()
                 warnings.warn(
                     f"edge ({a}, {b}): configuration {q} outside observed "
                     f"range [{lo}, {hi}], extrapolating",
@@ -285,6 +285,8 @@ def load_db(path: str) -> ModelDatabase:
         if tag == "object":
             finish_object()
             oid = parts[1]
+            if oid in db.graphs:
+                raise ValueError(f"object {oid!r} stored twice")
         elif tag == "provenance":
             provenance[parts[1]] = " ".join(parts[2:])
         elif tag == "vertices":
@@ -378,7 +380,6 @@ def evaluate(
     pose_seqs,
     assignment,
     ground_truth,
-    noise: NoiseModel | None = None,
 ) -> EvaluationReport:
     """Compare a learned graph against synthetic ground truth.
 

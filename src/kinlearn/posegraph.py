@@ -58,19 +58,14 @@ RANSAC_SAMPLES = 100  # 3-point minimal samples per fallback
 
 @dataclass(frozen=True)
 class ClusterFrameSet:
-    """Member feature observations of one cluster at one frame."""
+    """Member feature observations of one cluster at one frame: a frame
+    column of the packed track x frame arrays (``Demonstration.packed``)."""
 
     cluster_id: int
     frame: int
     ids: tuple[int, ...]
     positions: np.ndarray  # (n, 3)
     normals: np.ndarray  # (n, 3)
-
-    def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float).reshape(len(self.ids), 3)
-        n = np.asarray(self.normals, dtype=float).reshape(len(self.ids), 3)
-        object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "normals", n)
 
 
 @dataclass(frozen=True)
@@ -381,25 +376,6 @@ def optimize(
     )
 
 
-def _cluster_frame_sets(demo: Demonstration, cid: int, member_ids) -> list[ClusterFrameSet]:
-    by_frame: dict[int, list] = {}
-    lookup = demo.by_id()
-    for tid in sorted(member_ids):
-        traj = lookup[tid]
-        for o in traj.observations:
-            by_frame.setdefault(o.frame, []).append((tid, o.position, o.normal))
-    return [
-        ClusterFrameSet(
-            cid,
-            frame,
-            tuple(t for t, _, _ in entries),
-            np.array([p for _, p, _ in entries]),
-            np.array([nv for _, _, nv in entries]),
-        )
-        for frame, entries in sorted(by_frame.items())
-    ]
-
-
 def estimate_cluster_poses(
     demo: Demonstration,
     assignment,
@@ -414,8 +390,12 @@ def estimate_cluster_poses(
     """
     results: list[ClusterPoseSequence] = []
     for cid in sorted(assignment.clusters):
-        members = assignment.clusters[cid]
-        sets = [s for s in _cluster_frame_sets(demo, cid, members) if len(s.ids) >= 3]
+        ids, pos, nrm, valid = demo.packed(assignment.clusters[cid])
+        sets = [  # the frames that show at least 3 members
+            ClusterFrameSet(cid, f, tuple(ids[seen].tolist()), pos[seen, f], nrm[seen, f])
+            for f, seen in enumerate(valid.T)
+            if seen.sum() >= 3
+        ]
         if len(sets) < 2:
             warnings.warn(
                 f"cluster {cid}: fewer than 2 frames with >=3 features, dropped",

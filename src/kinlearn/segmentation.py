@@ -74,18 +74,8 @@ def similarity_matrix(
     :func:`pair_similarity` is the two-row form of this function.
     """
     params = params or SimilarityParams()
-    trajs = sorted(demo.trajectories, key=lambda t: t.id)
-    n = len(trajs)
-    n_frames = demo.n_frames()
-
-    pos = np.full((n, n_frames, 3), np.nan)
-    nrm = np.full((n, n_frames, 3), np.nan)
-    valid = np.zeros((n, n_frames), dtype=bool)
-    for i, t in enumerate(trajs):
-        f = t.frames
-        pos[i, f] = t.positions
-        nrm[i, f] = t.normals
-        valid[i, f] = True
+    ids, pos, nrm, valid = demo.packed()
+    n = len(ids)
 
     use_pos = params.combine in ("product", "positional")
     use_nrm = params.combine in ("product", "normal")
@@ -107,7 +97,7 @@ def similarity_matrix(
                 dev = d - d.mean()
                 L *= float(np.mean(np.exp(-params.gamma_normal * dev**2)))
             values[i, j] = values[j, i] = L
-    return SimilarityMatrix(tuple(t.id for t in trajs), values)
+    return SimilarityMatrix(tuple(ids.tolist()), values)
 
 
 def pair_similarity(

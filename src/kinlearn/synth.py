@@ -20,14 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpec
-from .geometry import Pose, apply_pose, compose, quat_from_rotvec, quat_rotate
+from .geometry import Pose, compose, quat_from_rotvec, quat_rotate
 from .trajectories import (
     JOINT_KINDS,
     PRISMATIC,
     REVOLUTE,
     RIGID,
     Demonstration,
-    FeatureObservation,
     FeatureTrajectory,
     GroundTruth,
     GroundTruthJoint,
@@ -188,6 +187,23 @@ def _part_pose_sequences(joints, frames: int):
     return poses, q_of_child
 
 
+def _add_noise(spec: ObjectSpec, rng, pos: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """Add one track's noise to ``pos`` and ``nrm`` in place; return its
+    kept-frame mask. The draws go frame by frame (position noise, normal
+    tilt, dropout), the order that fixes the sample stream for a seed."""
+    kept = np.ones(len(pos), dtype=bool)
+    for k in range(len(pos)):
+        if spec.noise_sigma_pos > 0:
+            pos[k] += rng.normal(0.0, spec.noise_sigma_pos, size=3)
+        if spec.noise_sigma_normal > 0:
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            angle = abs(rng.normal(0.0, spec.noise_sigma_normal))
+            nrm[k] = quat_rotate(quat_from_rotvec(axis * angle), nrm[k])
+        kept[k] = not (spec.dropout_prob > 0 and rng.uniform() < spec.dropout_prob)
+    return kept
+
+
 def generate(spec: ObjectSpec, frames: int, seed: int) -> Demonstration:
     """Deterministic synthetic demonstration for ``spec``.
 
@@ -201,7 +217,6 @@ def generate(spec: ObjectSpec, frames: int, seed: int) -> Demonstration:
 
     # renewal chains: one per (part, feature slot)
     tracks = []  # (id, part, body_pos, body_normal, start, stop)
-    next_id = 0
     for part_idx, part in enumerate(spec.parts):
         normal = part.normal()
         u = np.asarray(part.u, dtype=float)
@@ -216,31 +231,26 @@ def generate(spec: ObjectSpec, frames: int, seed: int) -> Demonstration:
                 else:
                     life = frames
                 stop = min(start + max(life, 1), frames)
-                tracks.append((next_id, part_idx, c + a * u + b * v, normal, start, stop))
-                next_id += 1
+                tracks.append((len(tracks), part_idx, c + a * u + b * v, normal, start, stop))
                 start = stop
 
+    # every part's rotations (F, 4) and translations (F, 3)
+    part_qt = {
+        part: (np.array([p.q for p in poses]), np.array([p.t for p in poses]))
+        for part, poses in part_poses.items()
+    }
+    noisy = spec.noise_sigma_pos > 0 or spec.noise_sigma_normal > 0 or spec.dropout_prob > 0
     trajectories = []
     labels = {}
     for tid, part_idx, body_pos, body_normal, start, stop in tracks:
-        obs = []
-        for frame in range(start, stop):
-            pose = part_poses[part_idx][frame]
-            pos = apply_pose(pose, body_pos)
-            nrm = quat_rotate(pose.q, body_normal)
-            if spec.noise_sigma_pos > 0:
-                pos = pos + rng.normal(0.0, spec.noise_sigma_pos, size=3)
-            if spec.noise_sigma_normal > 0:
-                axis = rng.normal(size=3)
-                axis /= np.linalg.norm(axis)
-                angle = abs(rng.normal(0.0, spec.noise_sigma_normal))
-                nrm = quat_rotate(quat_from_rotvec(axis * angle), nrm)
-            if spec.dropout_prob > 0 and rng.uniform() < spec.dropout_prob:
-                continue
-            obs.append(FeatureObservation(frame, pos, nrm))
-        if len(obs) < 2:
+        q, t = (a[start:stop] for a in part_qt[part_idx])
+        pos = quat_rotate(q, body_pos) + t
+        nrm = quat_rotate(q, body_normal)
+        kept = _add_noise(spec, rng, pos, nrm) if noisy else np.ones(len(pos), dtype=bool)
+        if kept.sum() < 2:
             continue
-        trajectories.append(FeatureTrajectory(tid, tuple(obs)))
+        observed = np.arange(start, stop)[kept]
+        trajectories.append(FeatureTrajectory.from_arrays(tid, observed, pos[kept], nrm[kept]))
         labels[tid] = part_idx
 
     gt_joints = [

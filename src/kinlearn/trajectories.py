@@ -1,8 +1,15 @@
 """Feature-trajectory data model and the on-disk .traj / .gt formats.
 
 A demonstration is a set of time-stamped 3-D feature trajectories, each
-observation carrying a position (m) and a unit surface normal. The text
-format is newline-delimited, one record per (trajectory, frame)
+observation carrying a position (m) and a unit surface normal. A
+trajectory keeps them in one read-only record array of dtype
+``OBSERVATION`` (fields ``frame``, ``position``, ``normal``; one row per
+observation, frames strictly increasing), built with
+``FeatureTrajectory.from_arrays(id, frames, positions, normals)``.
+``Demonstration.packed`` gives the track x frame arrays that segmentation
+and pose estimation read.
+
+The text format is newline-delimited, one record per (trajectory, frame)
 observation, preceded by a header with schema version and frame rate:
 
     traj 1 <frame_rate>
@@ -40,59 +47,55 @@ REVOLUTE = "revolute"
 JOINT_KINDS = (RIGID, PRISMATIC, REVOLUTE)
 
 
-@dataclass(frozen=True)
-class FeatureObservation:
-    """One feature sighting: frame index, position (m), unit normal."""
-
-    frame: int
-    position: np.ndarray
-    normal: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        n = np.asarray(self.normal, dtype=float)
-        p.flags.writeable = False
-        n.flags.writeable = False
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "normal", n)
-
-    def __eq__(self, other):
-        if not isinstance(other, FeatureObservation):
-            return NotImplemented
-        return (
-            self.frame == other.frame
-            and np.array_equal(self.position, other.position)
-            and np.array_equal(self.normal, other.normal)
-        )
+# one row per observation: frame index, position (m), unit normal
+OBSERVATION = np.dtype(
+    [("frame", np.int64), ("position", np.float64, (3,)), ("normal", np.float64, (3,))]
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTrajectory:
-    """One tracked point's observations, frames strictly increasing."""
+    """One tracked point's observations, frames strictly increasing.
+
+    ``observations`` is a read-only ``np.recarray`` of dtype
+    ``OBSERVATION``; the constructor copies whatever it is given into one.
+    """
 
     id: int
-    observations: tuple[FeatureObservation, ...]
+    observations: np.recarray
 
     def __post_init__(self):
-        obs = tuple(self.observations)
+        obs = np.array(self.observations, dtype=OBSERVATION).view(np.recarray)
+        obs.flags.writeable = False
         if len(obs) < 2:
-            raise ValueError(f"trajectory {self.id}: needs >=2 observations")
-        frames = [o.frame for o in obs]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
+            raise ValueError(f"trajectory {self.id} has fewer than 2 observations")
+        if np.any(np.diff(obs.frame) <= 0):
             raise ValueError(f"trajectory {self.id}: frames not strictly increasing")
         object.__setattr__(self, "observations", obs)
 
+    @classmethod
+    def from_arrays(cls, id, frames, positions, normals) -> "FeatureTrajectory":
+        """Trajectory from per-field arrays; a single (3,) row broadcasts."""
+        obs = np.empty(len(frames), dtype=OBSERVATION)
+        obs["frame"], obs["position"], obs["normal"] = frames, positions, normals
+        return cls(id, obs)
+
     @property
     def frames(self) -> np.ndarray:
-        return np.array([o.frame for o in self.observations])
+        return self.observations.frame
 
     @property
     def positions(self) -> np.ndarray:
-        return np.array([o.position for o in self.observations])
+        return self.observations.position
 
     @property
     def normals(self) -> np.ndarray:
-        return np.array([o.normal for o in self.observations])
+        return self.observations.normal
+
+    def __eq__(self, other):
+        if not isinstance(other, FeatureTrajectory):
+            return NotImplemented
+        return self.id == other.id and np.array_equal(self.observations, other.observations)
 
 
 @dataclass(frozen=True)
@@ -156,20 +159,26 @@ class Demonstration:
         if self.ground_truth is not None:
             self.ground_truth.validate(ids)
 
-    def n_frames(self) -> int:
-        return 1 + max((int(t.frames[-1]) for t in self.trajectories), default=-1)
+    def packed(self, ids=None):
+        """Track x frame layout of the trajectories ``ids`` (default all).
 
-    def by_id(self) -> dict[int, FeatureTrajectory]:
-        return {t.id: t for t in self.trajectories}
-
-    def __eq__(self, other):
-        if not isinstance(other, Demonstration):
-            return NotImplemented
-        return (
-            self.frame_rate == other.frame_rate
-            and self.trajectories == other.trajectories
-            and self.ground_truth == other.ground_truth
-        )
+        Returns ``(ids, positions, normals, valid)``: the ids ascending as
+        an int array, positions and normals of shape (n, n_frames, 3), NaN
+        where a track is unobserved, and the (n, n_frames) mask of observed
+        entries; ``n_frames`` runs to the last frame these tracks observe.
+        """
+        lookup = {t.id: t for t in self.trajectories}
+        ids = np.array(sorted(lookup if ids is None else ids), dtype=np.int64)
+        n_frames = 1 + max((int(lookup[tid].frames[-1]) for tid in ids), default=-1)
+        valid = np.zeros((len(ids), n_frames), dtype=bool)
+        pos = np.full(valid.shape + (3,), np.nan)
+        nrm = np.full(valid.shape + (3,), np.nan)
+        for i, tid in enumerate(ids):
+            obs = lookup[tid].observations
+            pos[i, obs.frame] = obs.position
+            nrm[i, obs.frame] = obs.normal
+            valid[i, obs.frame] = True
+        return ids, pos, nrm, valid
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +241,10 @@ def save(demo: Demonstration, path: str, with_ground_truth: bool = True) -> None
     """Write a demonstration; ground truth goes to the ``.gt`` sidecar."""
     lines = [f"traj {TRAJ_SCHEMA} {fmt_floats((demo.frame_rate,))}"]
     for traj in demo.trajectories:
-        for o in traj.observations:
-            lines.append(f"{traj.id} {o.frame} {fmt_floats(o.position)} {fmt_floats(o.normal)}")
+        obs = traj.observations
+        rows = zip(obs.frame.tolist(), obs.position.tolist(), obs.normal.tolist())
+        for frame, pos, nrm in rows:
+            lines.append(f"{traj.id} {frame} {fmt_floats(pos)} {fmt_floats(nrm)}")
     write_lines(path, lines)
     if with_ground_truth and demo.ground_truth is not None:
         save_ground_truth(demo.ground_truth, gt_path_for(path))
@@ -260,18 +271,18 @@ def load(path: str) -> Demonstration:
     trajectories: list[FeatureTrajectory] = []
     seen: set[int] = set()
     cur_id: int | None = None
-    cur_obs: list[FeatureObservation] = []
-    last_frame = -1
+    cur_frames: list[int] = []
+    cur_rows: list[list[float]] = []  # position then normal, per observation
 
     def flush():
-        if cur_id is None:
-            return
-        if len(cur_obs) < 2:
-            raise ValueError(f"trajectory {cur_id} has fewer than 2 observations")
-        trajectories.append(FeatureTrajectory(cur_id, tuple(cur_obs)))
+        if cur_id is not None:
+            rows = np.array(cur_rows)
+            trajectories.append(
+                FeatureTrajectory.from_arrays(cur_id, cur_frames, rows[:, :3], rows[:, 3:])
+            )
 
     def record(parts):
-        nonlocal cur_id, cur_obs, last_frame
+        nonlocal cur_id, cur_frames, cur_rows
         if len(parts) != 8:
             raise ValueError(f"expected 8 fields, got {len(parts)}")
         tid = int(parts[0])
@@ -282,11 +293,11 @@ def load(path: str) -> Demonstration:
             if tid in seen:
                 raise ValueError(f"duplicate id {tid}")
             seen.add(tid)
-            cur_id, cur_obs, last_frame = tid, [], -1
-        if frame <= last_frame:
+            cur_id, cur_frames, cur_rows = tid, [], []
+        if frame <= (cur_frames[-1] if cur_frames else -1):
             raise ValueError(f"trajectory {tid}: frame {frame} not increasing")
-        last_frame = frame
-        cur_obs.append(FeatureObservation(frame, np.array(vals[:3]), np.array(vals[3:])))
+        cur_frames.append(frame)
+        cur_rows.append(vals)
 
     (frame_rate,) = read_records(path, "traj", TRAJ_SCHEMA, record, flush, ("frame_rate",))
     gt_path = gt_path_for(path)

@@ -53,7 +53,6 @@ from kinlearn.segmentation import (
 )
 from kinlearn.trajectories import (
     Demonstration,
-    FeatureObservation,
     FeatureTrajectory,
     PRISMATIC,
     REVOLUTE,
@@ -221,15 +220,11 @@ class TestCriterion3:
 
 def _static_pair(offsets_b, pos_a=(0.0, 0.0, 0.0)):
     normal = np.array([0.0, 0.0, 1.0])
-    obs_a = tuple(
-        FeatureObservation(f, np.asarray(pos_a, dtype=float), normal)
-        for f in range(len(offsets_b))
+    frames = np.arange(len(offsets_b))
+    return (
+        FeatureTrajectory.from_arrays(0, frames, pos_a, normal),
+        FeatureTrajectory.from_arrays(1, frames, offsets_b, normal),
     )
-    obs_b = tuple(
-        FeatureObservation(f, np.asarray(p, dtype=float), normal)
-        for f, p in enumerate(offsets_b)
-    )
-    return FeatureTrajectory(0, obs_a), FeatureTrajectory(1, obs_b)
 
 
 class TestCriterion4:
@@ -238,13 +233,9 @@ class TestCriterion4:
         rng = np.random.default_rng(4)
         path = rng.uniform(-1, 1, size=(30, 3))
         normal = np.array([0.0, 0.0, 1.0])
-        a = FeatureTrajectory(0, tuple(
-            FeatureObservation(f, p, normal) for f, p in enumerate(path)
-        ))
-        b = FeatureTrajectory(1, tuple(
-            FeatureObservation(f, p + [0.3, 0.1, -0.2], normal)
-            for f, p in enumerate(path)
-        ))
+        frames = np.arange(len(path))
+        a = FeatureTrajectory.from_arrays(0, frames, path, normal)
+        b = FeatureTrajectory.from_arrays(1, frames, path + [0.3, 0.1, -0.2], normal)
         exact = pair_similarity(a, b)
         ok = exact == 1.0
 

@@ -354,3 +354,15 @@ class TestErrors:
         code, _, _ = run(["predict", str(bad), "--object", "door",
                           "--sweep", "0:1:0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_object_stored_twice_exits_2(self, tmp_path, door_files, command):
+        traj, db, _ = door_files
+        lines = open(db).read().splitlines()
+        twice = tmp_path / "twice.db"
+        twice.write_text("\n".join(lines + lines[1:]) + "\n")
+        args = ["--sweep", "0:1:0.5"] if command == "predict" else [traj]
+        code, out, err = run([command, str(twice), *args, "--object", "door"])
+        assert code == 2 and out == ""
+        # the second copy starts right after the first one's last line
+        assert err == f"error: line {len(lines) + 1}: object 'door' stored twice\n"

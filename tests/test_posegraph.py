@@ -30,7 +30,7 @@ from kinlearn.posegraph import (
 )
 from kinlearn.segmentation import cluster, similarity_matrix
 from kinlearn.synth import JointSpec, MotionProfile, ObjectSpec, PartSpec
-from kinlearn.trajectories import Demonstration, FeatureObservation, FeatureTrajectory
+from kinlearn.trajectories import Demonstration, FeatureTrajectory
 
 
 def pclose(a, b, tol):
@@ -419,14 +419,8 @@ class TestEstimateClusterPoses:
         demo = synth.generate(prismatic_ramp_spec(), frames=40, seed=11)
         g = Pose.from_rotvec([0.3, -0.5, 0.2], [1.0, 2.0, -0.7])
         moved = [
-            FeatureTrajectory(
-                t.id,
-                tuple(
-                    FeatureObservation(
-                        o.frame, apply_pose(g, o.position), quat_rotate(g.q, o.normal)
-                    )
-                    for o in t.observations
-                ),
+            FeatureTrajectory.from_arrays(
+                t.id, t.frames, apply_pose(g, t.positions), quat_rotate(g.q, t.normals)
             )
             for t in demo.trajectories
         ]

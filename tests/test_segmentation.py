@@ -12,17 +12,14 @@ from kinlearn.segmentation import (
     pair_similarity,
     similarity_matrix,
 )
-from kinlearn.trajectories import FeatureObservation, FeatureTrajectory
+from kinlearn.trajectories import FeatureTrajectory
 
 
 def make_traj(tid, frames, positions, normals=None):
     positions = np.asarray(positions, dtype=float)
     if normals is None:
         normals = np.tile([0.0, 0.0, 1.0], (len(frames), 1))
-    obs = tuple(
-        FeatureObservation(f, positions[k], normals[k]) for k, f in enumerate(frames)
-    )
-    return FeatureTrajectory(tid, obs)
+    return FeatureTrajectory.from_arrays(tid, frames, positions, normals)
 
 
 def brute_force_dbscan(dist, eps, min_pts):

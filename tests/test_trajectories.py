@@ -5,7 +5,7 @@ import pytest
 
 from kinlearn import synth, trajectories
 from kinlearn.errors import InvalidSpec, ParseError, SchemaVersionMismatch
-from kinlearn.geometry import apply_pose
+from kinlearn.geometry import apply_pose, quat_from_rotvec, quat_rotate
 from kinlearn.synth import JointSpec, MotionProfile, ObjectSpec, PartSpec
 from kinlearn.kingraph import load_db
 from kinlearn.trajectories import load, load_ground_truth, save
@@ -132,6 +132,70 @@ class TestGenerator:
         assert a.ground_truth.labels == b.ground_truth.labels
         assert a.ground_truth.part_poses == b.ground_truth.part_poses
         assert a.ground_truth.joints == b.ground_truth.joints[::-1]
+
+
+def reference_generate(spec, frames, seed):
+    """``synth.generate``'s observations, made one at a time with a pose per
+    frame: {track id: (part, [(frame, position, normal), ...])}."""
+    rng = np.random.default_rng(seed)
+    part_poses, _ = synth._part_pose_sequences(synth._validate(spec, frames), frames)
+    tracks = []
+    for part_idx, part in enumerate(spec.parts):
+        u, v, c = (np.asarray(x, dtype=float) for x in (part.u, part.v, part.center))
+        for _slot in range(spec.features_per_part):
+            start = 0
+            while start < frames:
+                a, b = rng.uniform(-1.0, 1.0, size=2)
+                life = int(rng.geometric(1.0 / spec.track_lifetime))
+                stop = min(start + max(life, 1), frames)
+                body = c + a * u + b * v
+                tracks.append((len(tracks), part_idx, body, part.normal(), start, stop))
+                start = stop
+    result = {}
+    for tid, part_idx, body_pos, body_normal, start, stop in tracks:
+        rows = []
+        for frame in range(start, stop):
+            pose = part_poses[part_idx][frame]
+            pos = apply_pose(pose, body_pos)
+            nrm = quat_rotate(pose.q, body_normal)
+            pos = pos + rng.normal(0.0, spec.noise_sigma_pos, size=3)
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            angle = abs(rng.normal(0.0, spec.noise_sigma_normal))
+            nrm = quat_rotate(quat_from_rotvec(axis * angle), nrm)
+            if rng.uniform() < spec.dropout_prob:
+                continue
+            rows.append((frame, pos, nrm))
+        if len(rows) >= 2:
+            result[tid] = (part_idx, rows)
+    return result
+
+
+class TestBatchedGenerate:
+    """Every noise source at once: the batched transport and noise must
+    reproduce the one-observation-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_observation_loop(self, tmp_path, seed):
+        spec = dataclasses.replace(
+            synth.default_specs()["monitor"], noise_sigma_pos=0.004,
+            noise_sigma_normal=0.1, dropout_prob=0.3, track_lifetime=8.0,
+        )
+        demo = synth.generate(spec, frames=40, seed=seed)
+        want = reference_generate(spec, 40, seed)
+        assert [t.id for t in demo.trajectories] == sorted(want)
+        for traj in demo.trajectories:
+            part, rows = want[traj.id]
+            assert demo.ground_truth.labels[traj.id] == part
+            assert traj.frames.tolist() == [f for f, _, _ in rows]
+            assert traj.positions.tobytes() == np.array([p for _, p, _ in rows]).tobytes()
+            assert traj.normals.tobytes() == np.array([n for _, _, n in rows]).tobytes()
+
+        path = tmp_path / "demo.traj"
+        save(demo, str(path))
+        written = [line.split()[0] for line in path.read_text().splitlines()[1:]]
+        for traj in demo.trajectories:
+            assert len(traj.observations) == written.count(str(traj.id))
 
 
 class TestCatalog:

@@ -108,9 +108,13 @@ def make_bad_inputs() -> None:
     first_label = next(i for i, l in enumerate(gt_lines) if l.startswith("label "))
     write("nolabel.gt", "\n".join(gt_lines[:first_label] + gt_lines[first_label + 1:]) + "\n")
     first_id = lines[1].split()[0]
-    write("one.traj", "\n".join([lines[0]] + [l for l in lines[1:] if l.split()[0] == first_id]) + "\n")
+    first_track = [l for l in lines[1:] if l.split()[0] == first_id]
+    write("one.traj", "\n".join([lines[0]] + first_track) + "\n")
     write("one.gt", gt)
     write("zero.traj", lines[0] + "\n")
+    write("dup-id.traj", "\n".join(lines + first_track[:1]) + "\n")
+    write("order.traj", "\n".join([lines[0], lines[2], lines[1]] + lines[3:]) + "\n")
+    write("lone.traj", "\n".join(lines[:2] + lines[1 + len(first_track):]) + "\n")
     write("bare.traj", traj)
     write("sched-bad.txt", "0.1\nabc\n")
     write("sched-cols.txt", "0.1 0.2\n")
@@ -141,6 +145,9 @@ def error_commands():
         ["segment", "nolabel.traj"],
         ["segment", "one.traj", "--dump-similarity", "one.seg-sim.csv"],
         ["segment", "zero.traj"],
+        ["segment", "dup-id.traj"],
+        ["segment", "order.traj"],
+        ["segment", "lone.traj"],
         ["learn", "one.traj", *door, "--dump-similarity", "one.sim.csv", "-o", "one.db"],
         ["learn", "zero.traj", *door, "-o", "zero.db"],
         ["learn", "v9.traj", *door, "-o", "v9.out.db"],
