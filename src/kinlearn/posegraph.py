@@ -2,17 +2,29 @@
 
 Each cluster's motion is recovered in three steps: robust frame-to-frame
 alignment of its member features (iterative inlier reselection with a
-seeded minimal-sample fallback whose samples are solved and scored
-together in one batched Kabsch call, from the same sample stream as a
-one-at-a-time loop), assembly of relative-pose constraints
+seeded minimal-sample fallback), assembly of relative-pose constraints
 (consecutive, a sparse long-range set every ``sparse_stride`` frames, and
 constant-velocity regularizers), and batch Gauss-Newton smoothing over
 the pose chain. The first observed frame is gauge-fixed to the identity,
 so every pose maps first-frame world coordinates to the current frame.
+
+The work is batched per cluster, with outputs bitwise those of the
+one-at-a-time forms:
+
+- ``build_constraints`` solves the deltas of all its frame pairs
+  together: each fit round stacks the pairs that fit the same number of
+  points into one ``kabsch`` call, and the residuals of every pair come
+  from one evaluation. ``estimate_delta`` is the one-pair form.
+- The fallback's ``RANSAC_SAMPLES`` minimal samples are drawn once per
+  (point count, seed) and solved and scored in one ``kabsch`` call.
+- ``optimize`` evaluates each residual group once per Jacobian, with
+  every (slot, axis) perturbation stacked, and retracts all frames in one
+  vectorised step.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,8 +35,6 @@ import scipy.sparse.linalg
 from .errors import DegenerateGeometry, InsufficientCorrespondences
 from .geometry import (
     Pose,
-    align_point_sets,
-    apply_pose,
     compose,
     kabsch,
     quat_canonical,
@@ -108,18 +118,25 @@ class ClusterPoseSequence:
         return min(self.poses)
 
 
+@functools.lru_cache(maxsize=256)
+def _ransac_samples(n: int, seed: int) -> np.ndarray:
+    """The ``RANSAC_SAMPLES`` 3-point index draws for ``n`` points, made one
+    ``rng.choice`` at a time from ``seed``; read-only, drawn once per (n, seed)."""
+    rng = np.random.default_rng(seed)
+    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(RANSAC_SAMPLES)])
+    idx.flags.writeable = False
+    return idx
+
+
 def _sample_consensus(src, dst, inlier_threshold, seed):
     """Inlier mask of the best 3-point minimal sample, or None.
 
-    Draws ``RANSAC_SAMPLES`` samples one ``rng.choice`` at a time, solves
-    them in one batched Kabsch call and scores all of them at once. The
-    best is the first non-collinear sample with the most inliers; None
-    when every sample is collinear.
+    Solves the ``RANSAC_SAMPLES`` samples of ``_ransac_samples`` in one
+    batched Kabsch call and scores all of them at once. The best is the
+    first non-collinear sample with the most inliers; None when every
+    sample is collinear.
     """
-    rng = np.random.default_rng(seed)
-    idx = np.array(
-        [rng.choice(len(src), size=3, replace=False) for _ in range(RANSAC_SAMPLES)]
-    )
+    idx = _ransac_samples(len(src), seed)
     valid, q, t = kabsch(src[idx], dst[idx])
     if not valid.any():
         return None
@@ -127,6 +144,88 @@ def _sample_consensus(src, dst, inlier_threshold, seed):
     moved = quat_rotate(q[:, None, :], src) + t[:, None, :]
     masks = np.linalg.norm(moved - dst, axis=-1) < inlier_threshold
     return masks[np.argmax(np.where(valid, masks.sum(axis=1), -1))]
+
+
+def _estimate_deltas(pairs, inlier_threshold, seed):
+    """:func:`estimate_delta` of every (prev, curr) pair of ``pairs`` at once.
+
+    Returns one item per pair: ``(delta, inlier ids)``, or the
+    InsufficientCorrespondences or DegenerateGeometry that the pair alone
+    raises. The common points of all pairs are laid end to end, so the
+    residuals and inlier masks of every pair come from one evaluation.
+    Each fit round solves the pairs with one ``kabsch`` call per inlier
+    count; ``kabsch`` computes each item as a one-item call would, so every
+    delta is bitwise the one-pair result.
+    """
+    out: list = [None] * len(pairs)
+    live, commons, srcs, dsts = [], [], [], []
+    for k, (prev, curr) in enumerate(pairs):
+        common, ia, ib = np.intersect1d(prev.ids, curr.ids, return_indices=True)
+        if len(common) < 3:
+            out[k] = InsufficientCorrespondences(f"need >=3 common features, got {len(common)}")
+            continue
+        live.append(k)
+        commons.append(common)
+        srcs.append(prev.positions[ia])
+        dsts.append(curr.positions[ib])
+    if not live:
+        return out
+    m = len(live)
+    sizes = np.array([len(c) for c in commons])
+    seg = np.repeat(np.arange(m), sizes)  # live pair of each point
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    Q, T = np.empty((m, 4)), np.empty((m, 3))
+    inliers = np.ones(len(seg), dtype=bool)
+    degenerate = np.zeros(m, dtype=bool)
+
+    def counts():
+        return np.bincount(seg[inliers], minlength=m)
+
+    def fit(todo):
+        """Fit each todo pair to its inliers; returns the todo pairs whose
+        inliers are not collinear, with their points' refreshed inlier mask."""
+        n_in = counts()
+        for n in np.unique(n_in[todo]):
+            group = todo & (n_in == n)
+            pts = np.flatnonzero(group[seg] & inliers)
+            valid, Q[group], T[group] = kabsch(
+                src[pts].reshape(-1, n, 3), dst[pts].reshape(-1, n, 3)
+            )
+            degenerate[np.flatnonzero(group)[~valid]] = True
+        todo = todo & ~degenerate
+        pts = todo[seg]
+        q = quat_canonical(quat_normalize(Q[seg[pts]]))  # the rotation as Pose(q, t) stores it
+        moved = quat_rotate(q, src[pts]) + T[seg[pts]]
+        return todo, pts, np.linalg.norm(moved - dst[pts], axis=-1) < inlier_threshold
+
+    _, pts, refreshed = fit(np.ones(m, dtype=bool))
+    inliers[pts] = refreshed
+    # more than half the points rejected: re-seed consensus from minimal samples
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    for i in np.flatnonzero(~degenerate & (counts() < 0.5 * sizes)):
+        span = slice(starts[i], starts[i + 1])
+        best = _sample_consensus(src[span], dst[span], inlier_threshold, seed)
+        if best is not None and best.sum() >= 3:
+            inliers[span] = best
+
+    # fit / reclassify to a fixed point, at most 20 rounds per pair
+    todo = ~degenerate
+    for _ in range(20):
+        todo &= counts() >= 3
+        if not todo.any():
+            break
+        todo, pts, refreshed = fit(todo)
+        changed = np.bincount(seg[pts][refreshed != inliers[pts]], minlength=m) > 0
+        inliers[pts] = refreshed
+        todo &= changed
+
+    for i, k in enumerate(live):
+        if degenerate[i]:
+            out[k] = DegenerateGeometry("source points are collinear within tolerance")
+        else:
+            keep = inliers[starts[i]:starts[i + 1]]
+            out[k] = (Pose(Q[i], T[i]), tuple(int(f) for f in commons[i][keep]))
+    return out
 
 
 def estimate_delta(
@@ -138,42 +237,22 @@ def estimate_delta(
     """Robust relative pose from ``prev`` to ``curr`` over common features.
 
     Returns (delta, inlier feature ids). Starts from an all-point fit and
-    iterates fit / reclassify-inliers to a fixed point; when the initial
-    fit rejects more than half the points, consensus is re-seeded from
-    ``RANSAC_SAMPLES`` random 3-point minimal samples (deterministic for a
-    fixed seed). The samples are drawn one ``rng.choice`` at a time, the
-    same sample stream as scoring them one by one would use, and are
-    solved and scored together in one batched Kabsch call. The first
-    non-collinear sample with the most inliers re-seeds the consensus.
+    iterates fit / reclassify-inliers to a fixed point, for at most 20
+    rounds; when the initial fit rejects more than half the points,
+    consensus is re-seeded from ``RANSAC_SAMPLES`` random 3-point minimal
+    samples (deterministic for a fixed seed), solved and scored together
+    in one batched Kabsch call. The first non-collinear sample with the
+    most inliers re-seeds the consensus.
+
+    The one-pair form of the batched routine that ``build_constraints``
+    runs over all pairs of a cluster. Raises InsufficientCorrespondences
+    for fewer than 3 common features and DegenerateGeometry when a fit's
+    points are collinear.
     """
-    common, ia, ib = np.intersect1d(prev.ids, curr.ids, return_indices=True)
-    if len(common) < 3:
-        raise InsufficientCorrespondences(
-            f"need >=3 common features, got {len(common)}"
-        )
-    src = prev.positions[ia]
-    dst = curr.positions[ib]
-
-    def residuals(pose):
-        return np.linalg.norm(apply_pose(pose, src) - dst, axis=1)
-
-    pose = align_point_sets(src, dst)
-    inliers = residuals(pose) < inlier_threshold
-
-    if inliers.sum() < 0.5 * len(common):
-        best = _sample_consensus(src, dst, inlier_threshold, seed)
-        if best is not None and best.sum() >= 3:
-            inliers = best
-
-    for _ in range(20):
-        if inliers.sum() < 3:
-            break
-        pose = align_point_sets(src[inliers], dst[inliers])
-        refreshed = residuals(pose) < inlier_threshold
-        if np.array_equal(refreshed, inliers):
-            break
-        inliers = refreshed
-    return pose, tuple(int(i) for i in common[inliers])
+    (result,) = _estimate_deltas([(prev, curr)], inlier_threshold, seed)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def build_constraints(
@@ -199,13 +278,12 @@ def build_constraints(
         for b in frames
         if b.frame - sparse_stride in by_frame
     ]
-    constraints: list[PoseConstraint] = []
-    for kind, a, b in pairs:
-        try:
-            delta, inl = estimate_delta(a, b, inlier_threshold, seed)
-        except (InsufficientCorrespondences, DegenerateGeometry):
-            continue
-        constraints.append(PoseConstraint(kind, (a.frame, b.frame), delta, float(len(inl))))
+    deltas = _estimate_deltas([(a, b) for _, a, b in pairs], inlier_threshold, seed)
+    constraints = [  # a pair without a delta gets no constraint
+        PoseConstraint(kind, (a.frame, b.frame), d[0], float(len(d[1])))
+        for (kind, a, b), d in zip(pairs, deltas)
+        if not isinstance(d, Exception)
+    ]
 
     consecutive_weights = [c.weight for c in constraints if c.kind == CONSECUTIVE]
     w_v = 0.1 * float(np.median(consecutive_weights)) if consecutive_weights else 1.0
@@ -235,16 +313,80 @@ def _velocity_residuals(qa, ta, qb, tb, qc, tc):
     return np.concatenate([quat_to_rotvec(q_err), t_err], axis=-1)
 
 
-def _perturb(q, t, axis, eps):
-    """Left-multiply each pose by exp(eps * e_axis) in the decoupled chart."""
-    if axis < 3:
-        rv = np.zeros(3)
-        rv[axis] = eps
-        dq = quat_from_rotvec(rv)
-        return quat_mul(dq, q), quat_rotate(dq[None, :].repeat(len(t), 0), t)
-    t2 = t.copy()
-    t2[:, axis - 3] += eps
-    return q, t2
+_JACOBIAN_STEP = 1e-6
+# exp(step * e_axis) for the three rotation axes, (3, 4)
+_STEP_ROTATIONS = np.array(
+    [quat_from_rotvec(np.eye(3)[axis] * _JACOBIAN_STEP) for axis in range(3)]
+)
+
+
+def _perturbations(q, t):
+    """Each pose left-multiplied by exp(step * e_axis) in the decoupled
+    chart, for the six axes (rotation first): shapes (6, ...) of q and t."""
+    dq = _STEP_ROTATIONS[:, None, :]
+    q6 = np.concatenate([quat_mul(dq, q), np.broadcast_to(q, (3, *q.shape))])
+    t6 = np.concatenate([quat_rotate(dq, t), np.broadcast_to(t, (3, *t.shape))])
+    for axis in range(3):
+        t6[3 + axis, :, axis] += _JACOBIAN_STEP
+    return q6, t6
+
+
+def _residual_groups(constraints, index):
+    """Residual groups, pairs then velocities, each a block of residual rows:
+    (function, sqrt weights, frame index per slot, measurements, first row)."""
+    groups = []
+    row = 0
+    pairs = [c for c in constraints if c.kind != VELOCITY]
+    vels = [c for c in constraints if c.kind == VELOCITY]
+    for fn, cs in ((_pair_residuals, pairs), (_velocity_residuals, vels)):
+        if not cs:
+            continue
+        slots = [np.array([index[c.frames[k]] for c in cs]) for k in range(len(cs[0].frames))]
+        measured = [] if cs[0].delta is None else [  # velocity factors measure nothing
+            np.array([c.delta.q for c in cs]), np.array([c.delta.t for c in cs])
+        ]
+        groups.append((fn, np.sqrt(np.array([c.weight for c in cs])), slots, measured, row))
+        row += len(cs)
+    return groups
+
+
+def _group_residuals(group, poses):
+    """Weighted residuals of one group at one (q, t) per slot; leading
+    batch axes of the poses carry through."""
+    fn, sw, _, measured, _ = group
+    return sw[:, None] * fn(*(x for q_t in poses for x in q_t), *measured)
+
+
+def _weighted_residuals(groups, Q, T):
+    return np.concatenate([_group_residuals(g, [(Q[i], T[i]) for i in g[2]]) for g in groups])
+
+
+def _jacobian(groups, Q, T, r0):
+    """Forward-difference Jacobian of the weighted residuals ``r0`` in the
+    free frames (all but the first); one batched evaluation per group
+    holds every (slot, axis) perturbation."""
+    var = np.arange(len(Q)) - 1  # free-variable slot per frame, -1 for the gauge
+    rows, cols, data = [], [], []
+    for g in groups:
+        _, _, slots, _, first = g
+        k = len(slots)
+        moved = []  # batch item 6 * slot + axis perturbs that slot along that axis
+        for slot, fidx in enumerate(slots):
+            q, t = Q[fidx], T[fidx]
+            qs, ts = np.repeat(q[None], 6 * k, axis=0), np.repeat(t[None], 6 * k, axis=0)
+            qs[6 * slot:6 * slot + 6], ts[6 * slot:6 * slot + 6] = _perturbations(q, t)
+            moved.append((qs, ts))
+        d = (_group_residuals(g, moved) - r0[first:first + len(slots[0])]) / _JACOBIAN_STEP
+        for slot, fidx in enumerate(slots):
+            ci = np.flatnonzero(var[fidx] >= 0)
+            for axis in range(6):
+                rows.append((6 * (first + ci[:, None]) + np.arange(6)).ravel())
+                cols.append(np.repeat(6 * var[fidx[ci]] + axis, 6))
+                data.append(d[6 * slot + axis, ci].ravel())
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(r0) * 6, 6 * (len(Q) - 1)),
+    ).tocsr()
 
 
 def optimize(
@@ -263,63 +405,15 @@ def optimize(
     n = len(frames)
     Q = np.array([initial.poses[f].q for f in frames])
     T = np.array([initial.poses[f].t for f in frames])
-    # free-variable slot per frame, -1 for the gauge-fixed first frame
-    var = np.array([i - 1 for i in range(n)])
 
     usable = [c for c in constraints if all(f in index for f in c.frames)]
-    pairs = [c for c in usable if c.kind != VELOCITY]
-    vels = [c for c in usable if c.kind == VELOCITY]
     if not usable or n < 2:
         return ClusterPoseSequence(
             initial.cluster_id, dict(initial.poses), dict(initial.inlier_counts)
         )
+    groups = _residual_groups(usable, index)
 
-    # residual groups, pairs then velocities, each a block of residual rows:
-    # (function, sqrt weights, frame index per slot, measurements, first row)
-    groups = []
-    row = 0
-    for fn, cs in ((_pair_residuals, pairs), (_velocity_residuals, vels)):
-        if not cs:
-            continue
-        slots = [np.array([index[c.frames[k]] for c in cs]) for k in range(len(cs[0].frames))]
-        measured = [] if cs[0].delta is None else [  # velocity factors measure nothing
-            np.array([c.delta.q for c in cs]), np.array([c.delta.t for c in cs])
-        ]
-        groups.append((fn, np.sqrt(np.array([c.weight for c in cs])), slots, measured, row))
-        row += len(cs)
-
-    def group_residuals(group, poses):
-        fn, sw, _, measured, _ = group
-        return sw[:, None] * fn(*(x for q_t in poses for x in q_t), *measured)
-
-    def weighted_residuals(Q, T):
-        return np.concatenate([group_residuals(g, [(Q[i], T[i]) for i in g[2]]) for g in groups])
-
-    def jacobian(Q, T, r0):
-        # numerical Jacobian, one batched evaluation per (slot, axis)
-        eps = 1e-6
-        rows, cols, data = [], [], []
-        for g in groups:
-            _, _, slots, _, first = g
-            poses = [(Q[i], T[i]) for i in slots]
-            r_ref = r0[first:first + len(slots[0])]
-            for slot, fidx in enumerate(slots):
-                ci = np.flatnonzero(var[fidx] >= 0)
-                if not len(ci):
-                    continue
-                for axis in range(6):
-                    moved = list(poses)
-                    moved[slot] = _perturb(*poses[slot], axis, eps)
-                    d = (group_residuals(g, moved) - r_ref) / eps  # (count, 6)
-                    rows.append((6 * (first + ci[:, None]) + np.arange(6)).ravel())
-                    cols.append(np.repeat(6 * var[fidx[ci]] + axis, 6))
-                    data.append(d[ci].ravel())
-        return scipy.sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(r0) * 6, 6 * (n - 1)),
-        ).tocsr()
-
-    r = weighted_residuals(Q, T)
+    r = _weighted_residuals(groups, Q, T)
     cost = float(np.sum(r**2))
     best = (Q.copy(), T.copy(), cost)
     lam = 1e-9
@@ -329,7 +423,7 @@ def optimize(
         if cost < 1e-18:
             converged = True
             break
-        J = jacobian(Q, T, r)
+        J = _jacobian(groups, Q, T, r)
         A = (J.T @ J).tocsc()
         g = J.T @ r.ravel()
         accepted = False
@@ -340,14 +434,11 @@ def optimize(
             except RuntimeError:
                 lam *= 10
                 continue
-            Qn, Tn = Q.copy(), T.copy()
-            for i in range(1, n):
-                s = step[6 * (i - 1): 6 * i]
-                dq = quat_from_rotvec(s[:3])
-                Qn[i] = quat_mul(dq, Qn[i])
-                Tn[i] = quat_rotate(dq, Tn[i]) + s[3:]
-            Qn = quat_normalize(Qn)
-            rn = weighted_residuals(Qn, Tn)
+            step = step.reshape(n - 1, 6)  # the tangent step of every free frame
+            dq = quat_from_rotvec(step[:, :3])
+            Qn = quat_normalize(np.concatenate([Q[:1], quat_mul(dq, Q[1:])]))
+            Tn = np.concatenate([T[:1], quat_rotate(dq, T[1:]) + step[:, 3:]])
+            rn = _weighted_residuals(groups, Qn, Tn)
             cn = float(np.sum(rn**2))
             if cn <= cost:
                 accepted = True

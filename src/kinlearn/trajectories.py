@@ -55,7 +55,8 @@ OBSERVATION = np.dtype(
 
 @dataclass(frozen=True, eq=False)
 class FeatureTrajectory:
-    """One tracked point's observations, frames strictly increasing.
+    """One tracked point's observations, frames nonnegative and strictly
+    increasing.
 
     ``observations`` is a read-only ``np.recarray`` of dtype
     ``OBSERVATION``; the constructor copies whatever it is given into one.
@@ -71,6 +72,8 @@ class FeatureTrajectory:
             raise ValueError(f"trajectory {self.id} has fewer than 2 observations")
         if np.any(np.diff(obs.frame) <= 0):
             raise ValueError(f"trajectory {self.id}: frames not strictly increasing")
+        if obs.frame[0] < 0:
+            raise ValueError(f"trajectory {self.id}: negative frame {obs.frame[0]}")
         object.__setattr__(self, "observations", obs)
 
     @classmethod

@@ -10,6 +10,8 @@ from kinlearn.geometry import (
     compose,
     inverse,
     pose_distance,
+    quat_from_rotvec,
+    quat_mul,
     quat_rotate,
     rotation_angle,
 )
@@ -20,9 +22,15 @@ from kinlearn.posegraph import (
     ClusterFrameSet,
     ClusterPoseSequence,
     PoseConstraint,
+    _estimate_deltas,
+    _group_residuals,
+    _jacobian,
     _pair_residuals,
+    _ransac_samples,
+    _residual_groups,
     _sample_consensus,
     _velocity_residuals,
+    _weighted_residuals,
     build_constraints,
     estimate_cluster_poses,
     estimate_delta,
@@ -228,6 +236,176 @@ class TestBatchedSampleConsensus:
             assert np.array_equal(_sample_consensus(pts, moved, 0.01, seed + 100), best)
             self.assert_same_delta(pts, moved, seed + 100)
         assert winners == {0, 10}  # each group wins on some seed
+
+
+class TestRansacSamples:
+    def test_equal_to_draw_loop(self):
+        for seed in (0, 1, 7, 12345):
+            for n in range(3, 31):
+                rng = np.random.default_rng(seed)
+                loop = [rng.choice(n, size=3, replace=False) for _ in range(100)]
+                assert np.array_equal(_ransac_samples(n, seed), np.array(loop))
+
+    def test_read_only_and_shared(self):
+        idx = _ransac_samples(12, 5)
+        assert idx.shape == (100, 3) and not idx.flags.writeable
+        assert _ransac_samples(12, 5) is idx
+
+
+def cluster_frame_sets(demo, members, cid):
+    """The frame sets estimate_cluster_poses builds: frames with >= 3 members."""
+    ids, pos, nrm, valid = demo.packed(members)
+    return [
+        ClusterFrameSet(cid, f, tuple(ids[seen].tolist()), pos[seen, f], nrm[seen, f])
+        for f, seen in enumerate(valid.T)
+        if seen.sum() >= 3
+    ]
+
+
+def constraint_pairs(frames, sparse_stride=10):
+    """(kind, prev, curr) in build_constraints' order: consecutive, then sparse."""
+    by_frame = {s.frame: s for s in frames}
+    pairs = [(CONSECUTIVE, a, b) for a, b in zip(frames, frames[1:]) if b.frame - a.frame == 1]
+    pairs += [(SPARSE, by_frame[b.frame - sparse_stride], b)
+              for b in frames if b.frame - sparse_stride in by_frame]
+    return pairs
+
+
+def reference_delta_or_error(prev, curr, seed):
+    try:
+        return reference_estimate_delta(prev, curr, seed=seed)
+    except DegenerateGeometry as exc:  # fewer than 3 common points or collinear
+        return exc
+
+
+def collinear_after_reselection():
+    """10 points on a line and 2 off it that move 3 cm apart from the line:
+    the all-point fit keeps only the line points, whose refit is collinear."""
+    line = np.outer(np.linspace(-0.2, 0.2, 10), [1.0, 0.3, -0.5])
+    pts = np.vstack([line, [[0.0, 0.15, 0.1], [0.05, -0.1, 0.2]]])
+    moved = apply_pose(Pose.from_rotvec([0.0, 0.1, 0.05], [0.02, 0.0, 0.01]), pts)
+    moved[10:] += [0.0, 0.03, 0.0]
+    return pts, moved
+
+
+class TestBatchedDeltas:
+    """build_constraints solves all pairs of a cluster together; every delta,
+    inlier set and dropped pair must be that of the one-pair loop."""
+
+    def assert_matches_reference(self, frames, seed):
+        pairs = constraint_pairs(frames)
+        batched = _estimate_deltas([(a, b) for _, a, b in pairs], 0.01, seed)
+        expected = []
+        for (kind, a, b), got in zip(pairs, batched):
+            ref = reference_delta_or_error(a, b, seed)
+            if isinstance(ref, Exception):
+                common = len(set(a.ids) & set(b.ids))
+                assert isinstance(got, InsufficientCorrespondences if common < 3
+                                  else DegenerateGeometry)
+                continue
+            assert got[0].q.tobytes() == ref[0].q.tobytes()
+            assert got[0].t.tobytes() == ref[0].t.tobytes()
+            assert got[1] == ref[1]
+            expected.append((kind, (a.frame, b.frame), ref[0], float(len(ref[1]))))
+        cons = [c for c in build_constraints(frames, seed=seed) if c.kind != VELOCITY]
+        assert [(c.kind, c.frames, c.weight) for c in cons] == [
+            (kind, fr, w) for kind, fr, _, w in expected
+        ]
+        for c, (_, _, delta, _) in zip(cons, expected):
+            assert c.delta.q.tobytes() == delta.q.tobytes()
+            assert c.delta.t.tobytes() == delta.t.tobytes()
+        return pairs, batched
+
+    def test_rough_drawer(self):
+        # sigma 10 mm, 20 % dropout: pairs share different numbers of features
+        spec = synth.default_specs()["drawer"].with_noise(sigma_pos=0.01, dropout=0.2)
+        demo = synth.generate(spec, frames=30, seed=1)
+        assignment = cluster(similarity_matrix(demo))
+        for cid, members in sorted(assignment.clusters.items()):
+            frames = cluster_frame_sets(demo, members, cid)
+            pairs, _ = self.assert_matches_reference(frames, seed=1)
+            common = {len(set(a.ids) & set(b.ids)) for _, a, b in pairs}
+            assert len(common) > 2
+
+    def test_fallback_short_and_collinear_pairs(self):
+        rng = np.random.default_rng(2)
+        pts = rng.uniform(-0.5, 0.5, size=(20, 3))
+        step = Pose.from_rotvec([0.1, 0.2, -0.1], [0.02, -0.03, 0.04])
+        frames = [fset(0, range(20), pts)]
+        for f in range(1, 12):
+            frames.append(fset(f, range(20), apply_pose(step, frames[-1].positions)))
+        # frame 4: most points displaced, so its pairs need the RANSAC fallback
+        bad = frames[4].positions.copy()
+        bad[8:] += rng.uniform(0.05, 0.2, size=(12, 3))
+        frames[4] = fset(4, range(20), bad)
+        # frame 7 shares only two features with its neighbours
+        frames[7] = fset(7, [0, 1, 40, 41, 42], np.vstack([frames[7].positions[:2], pts[:3]]))
+        # frames 9 -> 10: the reselected inliers are collinear
+        line, moved = collinear_after_reselection()
+        frames[9] = fset(9, range(100, 112), line)
+        frames[10] = fset(10, range(100, 112), moved)
+        pairs, batched = self.assert_matches_reference(frames, seed=3)
+        outcome = {(a.frame, b.frame): r for (_, a, b), r in zip(pairs, batched)}
+        assert isinstance(outcome[(6, 7)], InsufficientCorrespondences)
+        assert isinstance(outcome[(9, 10)], DegenerateGeometry)
+        assert set(outcome[(3, 4)][1]) == set(range(8))  # the fallback's consensus
+        with pytest.raises(DegenerateGeometry):
+            estimate_delta(frames[9], frames[10])
+
+    def test_collinear_first_fit_dropped(self):
+        line = np.outer(np.linspace(-0.2, 0.2, 6), [1.0, 0.3, -0.5])
+        with pytest.raises(DegenerateGeometry):
+            estimate_delta(fset(0, range(6), line), fset(1, range(6), line + 0.01))
+
+
+def reference_perturb(q, t, axis, eps):
+    """Left-multiply each pose by exp(eps * e_axis) in the decoupled chart."""
+    if axis < 3:
+        rv = np.zeros(3)
+        rv[axis] = eps
+        dq = quat_from_rotvec(rv)
+        return quat_mul(dq, q), quat_rotate(dq[None, :].repeat(len(t), 0), t)
+    t2 = t.copy()
+    t2[:, axis - 3] += eps
+    return q, t2
+
+
+def reference_jacobian(groups, Q, T, r0):
+    """Dense Jacobian with one residual evaluation per (slot, axis)."""
+    eps = 1e-6
+    var = np.arange(len(Q)) - 1
+    J = np.zeros((6 * len(r0), 6 * (len(Q) - 1)))
+    for g in groups:
+        _, _, slots, _, first = g
+        poses = [(Q[i], T[i]) for i in slots]
+        r_ref = r0[first:first + len(slots[0])]
+        for slot, fidx in enumerate(slots):
+            for axis in range(6):
+                moved = list(poses)
+                moved[slot] = reference_perturb(*poses[slot], axis, eps)
+                d = (_group_residuals(g, moved) - r_ref) / eps
+                for c in np.flatnonzero(var[fidx] >= 0):
+                    J[6 * (first + c):6 * (first + c) + 6, 6 * var[fidx[c]] + axis] = d[c]
+    return J
+
+
+class TestBatchedJacobian:
+    def test_equal_to_per_axis_evaluations(self):
+        spec = synth.default_specs()["drawer"].with_noise(sigma_pos=0.01, dropout=0.2)
+        demo = synth.generate(spec, frames=30, seed=1)
+        assignment = cluster(similarity_matrix(demo))
+        for cid, members in sorted(assignment.clusters.items()):
+            frames = cluster_frame_sets(demo, members, cid)
+            cons = build_constraints(frames, seed=1)
+            index = {s.frame: i for i, s in enumerate(frames)}
+            rng = np.random.default_rng(cid)
+            Q = np.array([Pose.from_rotvec(rng.normal(0, 0.3, 3)).q for _ in frames])
+            T = rng.normal(0, 0.1, size=(len(frames), 3))
+            groups = _residual_groups(cons, index)
+            assert len(groups) == 2
+            r0 = _weighted_residuals(groups, Q, T)
+            J = _jacobian(groups, Q, T, r0)
+            assert (J.toarray() == reference_jacobian(groups, Q, T, r0)).all()
 
 
 class TestBuildConstraints:

@@ -8,7 +8,7 @@ from kinlearn.errors import InvalidSpec, ParseError, SchemaVersionMismatch
 from kinlearn.geometry import apply_pose, quat_from_rotvec, quat_rotate
 from kinlearn.synth import JointSpec, MotionProfile, ObjectSpec, PartSpec
 from kinlearn.kingraph import load_db
-from kinlearn.trajectories import load, load_ground_truth, save
+from kinlearn.trajectories import FeatureTrajectory, load, load_ground_truth, save
 
 
 def single_part_spec(**kw):
@@ -223,6 +223,13 @@ class TestCatalog:
         assert len(monitor.joints) == 2
 
 
+class TestFeatureTrajectory:
+    def test_negative_frame_rejected(self):
+        # a negative frame would land in a wrapped-around column of packed()
+        with pytest.raises(ValueError, match="negative frame -1"):
+            FeatureTrajectory.from_arrays(0, [-1, 0, 1], np.zeros((3, 3)), [0.0, 0.0, 1.0])
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         spec = synth.default_specs()["door"].with_noise(sigma_pos=0.002, sigma_normal=0.05)
@@ -270,6 +277,16 @@ class TestSerialization:
             "0 0 0 0 0 0 0 1\n"
         )
         with pytest.raises(ParseError, match="not increasing"):
+            load(str(path))
+
+    def test_negative_frame_in_file(self, tmp_path):
+        path = tmp_path / "neg.traj"
+        path.write_text(
+            "traj 1 30.0\n"
+            "0 -1 0 0 0 0 0 1\n"
+            "0 0 0 0 0 0 0 1\n"
+        )
+        with pytest.raises(ParseError, match="frame -1 not increasing"):
             load(str(path))
 
     def test_schema_mismatch(self, tmp_path):

@@ -3,7 +3,7 @@
 Runs a fixed matrix of ``kinlearn`` commands in a fresh, empty directory
 and prints one line per command (argv, exit code, sha256 of stdout and of
 stderr) and one line per file left in the directory (name, sha256). The
-matrix covers every catalog object, clean and noisy, through generate,
+matrix covers every catalog object, clean, noisy and rough, through generate,
 segment, learn --dump-similarity, predict and eval, plus the error paths
 of every subcommand.
 
@@ -31,7 +31,13 @@ import tempfile
 import warnings
 
 OBJECTS = ("door", "drawer", "fridge", "laptop", "microwave", "chair", "monitor")
-VARIANTS = {"clean": [], "noisy": ["--noise", "0.005", "--dropout", "0.02"]}
+VARIANTS = {
+    "clean": [],
+    "noisy": ["--noise", "0.005", "--dropout", "0.02"],
+    # rough tracks: many pairs fall back to RANSAC and pairs share unequal
+    # numbers of features; a last-bit change of one delta shows here first
+    "rough": ["--noise", "0.01", "--dropout", "0.2"],
+}
 FRAMES = "30"
 SEED = "1"
 
