@@ -208,6 +208,8 @@ def cmd_learn(args, stdout, stderr) -> int:
 
 def _parse_sweep(text: str):
     lo, hi, step = (float(v) for v in text.split(":"))
+    if not np.isfinite([lo, hi, step]).all():
+        raise ValueError("sweep LO, HI and STEP must be finite")
     if step <= 0 or hi < lo:
         raise ValueError("sweep must be LO:HI:STEP with STEP > 0 and HI >= LO")
     n = int(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -216,12 +218,12 @@ def _parse_sweep(text: str):
 
 def _configuration_rows(args, n_free: int) -> np.ndarray:
     """One row of configurations per predicted pose set, from --schedule
-    or --sweep; a value that does not parse is bad input."""
+    or --sweep; a value that does not parse or is not finite is bad input."""
     try:
         if args.schedule:
             rows = np.loadtxt(args.schedule, ndmin=2)
         elif args.sweep:
-            return np.repeat(_parse_sweep(args.sweep)[:, None], max(n_free, 1), axis=1)
+            return np.repeat(_parse_sweep(args.sweep)[:, None], n_free, axis=1)
         elif n_free:
             raise MissingConfiguration("need --sweep or --schedule for non-rigid edges")
         else:
@@ -232,6 +234,8 @@ def _configuration_rows(args, n_free: int) -> np.ndarray:
         raise ParseError(
             f"schedule has {rows.shape[1]} column(s), graph has {n_free} non-rigid edge(s)"
         )
+    if not np.isfinite(rows).all():
+        raise ParseError("schedule holds a configuration that is not finite")
     return rows
 
 
@@ -246,16 +250,20 @@ def cmd_predict(args, stdout, stderr) -> int:
         header += [f"p{v}_{c}" for c in ("qw", "qx", "qy", "qz", "tx", "ty", "tz")]
     header.append("extrapolated")
     lines = [",".join(header)]
-    for r, qrow in enumerate(rows):
-        configs = {(a, b): q for (a, b, _), q in zip(free_edges, qrow)}
-        extrapolated = any(m.extrapolates(q) for (_, _, m), q in zip(free_edges, qrow))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            poses = predict(graph, configs)
-        values = [*qrow]
-        for v in graph.vertices:
-            values += [*poses[v].q, *poses[v].t]
-        lines.append(f"{r},{fmt_floats(values, ',')},{'1' if extrapolated else '0'}")
+    configs, extrapolated = {}, np.zeros(len(rows), dtype=bool)
+    for (a, b, m), qs in zip(free_edges, rows.T):
+        configs[(a, b)] = qs
+        extrapolated |= m.extrapolates(qs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        poses = predict(graph, configs)
+    columns = [rows]
+    for v in graph.vertices:  # a part behind rigid edges only has one pose
+        columns += [np.broadcast_to(poses[v].q, (len(rows), 4)),
+                    np.broadcast_to(poses[v].t, (len(rows), 3))]
+    table = np.concatenate(columns, axis=1)
+    for r, values in enumerate(table):
+        lines.append(f"{r},{fmt_floats(values, ',')},{'1' if extrapolated[r] else '0'}")
     _write(args.output, lines, stdout)
     return EXIT_OK
 

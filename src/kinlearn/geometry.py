@@ -10,6 +10,12 @@ Batched quaternion helpers (``quat_*``) operate on arrays of shape
 generator where per-Pose Python objects would be too slow. ``kabsch``
 solves a stack of rigid alignments at once; ``align_point_sets`` is its
 single-item form.
+
+A ``Pose`` holds one pose or a stack (``q`` (..., 4), ``t`` (..., 3)). The
+operations and ``Pose.rot_about_line`` broadcast, giving every item the
+bytes of a one-pose call; distances are floats for one pose, arrays for a
+stack. ``Pose.matrix``/``from_matrix``/``rotation_matrix`` and the twist
+helpers take one pose.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "rotation_angle",
     "pose_distance",
     "pose_residual",
+    "row_dot",
     "quat_mul",
     "quat_conj",
     "quat_rotate",
@@ -188,8 +195,8 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 def _as_array(v, n):
     a = np.asarray(v, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"expected shape ({n},), got {a.shape}")
+    if a.ndim == 0 or a.shape[-1] != n:
+        raise ValueError(f"expected shape (..., {n}), got {a.shape}")
     a.flags.writeable = False
     return a
 
@@ -198,7 +205,8 @@ def _as_array(v, n):
 class Pose:
     """Rigid motion: unit quaternion (w, x, y, z) plus translation (m).
 
-    The quaternion is normalized and sign-canonicalized on construction.
+    ``q`` (..., 4) and ``t`` (..., 3) hold one pose or a stack of them. The
+    quaternion is normalized and sign-canonicalized on construction.
     """
 
     q: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
@@ -215,6 +223,15 @@ class Pose:
         return Pose()
 
     @staticmethod
+    def stack(poses) -> "Pose":
+        """One Pose holding ``poses`` in order, their arrays kept as they are:
+        ``q`` is not normalized again, which could move its last bit."""
+        p = object.__new__(Pose)
+        object.__setattr__(p, "q", _as_array([item.q for item in poses], 4))
+        object.__setattr__(p, "t", _as_array([item.t for item in poses], 3))
+        return p
+
+    @staticmethod
     def from_rotvec(rotvec, t=(0.0, 0.0, 0.0)) -> "Pose":
         return Pose(quat_from_rotvec(np.asarray(rotvec, dtype=float)), np.asarray(t, dtype=float))
 
@@ -224,10 +241,12 @@ class Pose:
         return Pose(quat_from_matrix(T[:3, :3]), T[:3, 3])
 
     @staticmethod
-    def rot_about_line(axis, point, angle: float) -> "Pose":
-        """Rotation by ``angle`` about the line through ``point`` along ``axis``."""
+    def rot_about_line(axis, point, angle) -> "Pose":
+        """Rotation by ``angle`` about the line through ``point`` along ``axis``;
+        an array of angles gives a stack of poses."""
         axis = np.asarray(axis, dtype=float)
         point = np.asarray(point, dtype=float)
+        angle = np.asarray(angle, dtype=float)[..., None]
         q = quat_from_rotvec(axis / np.linalg.norm(axis) * angle)
         t = point - quat_rotate(q, point)
         return Pose(q, t)
@@ -302,22 +321,35 @@ def log_pose(p: Pose) -> Twist:
     return Twist(quat_to_rotvec(p.q), p.t)
 
 
-def rotation_angle(a: Pose, b: Pose | None = None) -> float:
+def row_dot(a, b):
+    """Dot products over the last axis, broadcast: each item is bit for bit
+    the 1-D ``a @ b`` (``A @ b`` or a summed product can differ)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _float_if_single(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def rotation_angle(a: Pose, b: Pose | None = None):
     """Geodesic angle of a (or of the relative rotation b -> a), radians."""
     q = a.q if b is None else quat_mul(quat_conj(b.q), a.q)
-    return float(quat_angle(q))
+    return _float_if_single(quat_angle(q))
 
 
-def pose_residual(a: Pose, b: Pose) -> tuple[float, float]:
+def pose_residual(a: Pose, b: Pose):
     """(translation norm in m, rotation angle in rad) of ``relative(a, b)``:
     how far the observed pose ``a`` lies from the predicted pose ``b``."""
     err = relative(a, b)
-    return float(np.linalg.norm(err.t)), rotation_angle(err)
+    return _float_if_single(np.sqrt(row_dot(err.t, err.t))), rotation_angle(err)
 
 
-def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
+def pose_distance(a: Pose, b: Pose):
     """(translation distance in m, rotation angle in rad) between two poses."""
-    return float(np.linalg.norm(a.t - b.t)), rotation_angle(a, b)
+    d = a.t - b.t
+    return _float_if_single(np.sqrt(row_dot(d, d))), rotation_angle(a, b)
 
 
 def mean_rotation(rotations, weights=None) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import EmptyInput
 from .geometry import (
     Pose,
+    _float_if_single,
     compose,
     mean_rotation,
     pose_residual,
@@ -25,6 +26,7 @@ from .geometry import (
     quat_mul,
     quat_to_rotvec,
     relative,
+    row_dot,
 )
 from .trajectories import PRISMATIC, REVOLUTE, RIGID
 
@@ -64,12 +66,6 @@ class RelativePoseSequence:
 
     def __len__(self):
         return len(self.deltas)
-
-    def translations(self) -> np.ndarray:
-        return np.array([d.t for d in self.deltas])
-
-    def quaternions(self) -> np.ndarray:
-        return np.array([d.q for d in self.deltas])
 
 
 def relative_pose_sequence(seq_i, seq_j) -> RelativePoseSequence:
@@ -118,15 +114,15 @@ class JointModel:
     degenerate: bool = False
     bics: dict = field(default_factory=dict)
 
-    def predict(self, q: float) -> Pose:
-        """Relative pose of part i w.r.t. part j at configuration q."""
+    def predict(self, q) -> Pose:
+        """Relative pose of part i w.r.t. part j at configuration q; an array
+        of configurations gives a stack of poses (one pose for rigid)."""
         if self.kind == RIGID:
             return Pose(self.params["rotation"], self.params["translation"])
+        q = np.asarray(q, dtype=float)
         if self.kind == PRISMATIC:
-            return Pose(
-                self.params["rotation"],
-                self.params["base"] + q * self.params["axis"],
-            )
+            t = self.params["base"] + q[..., None] * self.params["axis"]
+            return Pose(np.broadcast_to(self.params["rotation"], t.shape[:-1] + (4,)), t)
         turn = Pose.rot_about_line(self.params["axis"], self.params["center"], q)
         return compose(turn, self.params["base"])
 
@@ -135,37 +131,43 @@ class JointModel:
             return (0.0, 0.0)
         return (float(self.configurations.min()), float(self.configurations.max()))
 
-    def extrapolates(self, q: float) -> bool:
-        """Whether configuration ``q`` lies outside the observed range."""
+    def extrapolates(self, q):
+        """Whether configuration ``q`` (or each of an array) lies outside the
+        observed range."""
         lo, hi = self.q_range()
-        return not lo <= q <= hi
+        q = np.asarray(q)
+        return ~((lo <= q) & (q <= hi))
 
-    def project(self, delta: Pose) -> float:
-        """Best-fitting configuration for one observed relative pose."""
+    def project(self, delta: Pose):
+        """Best-fitting configuration for an observed relative pose, or for
+        each pose of a stack."""
         if self.kind == RIGID:
-            return 0.0
+            return _float_if_single(np.zeros(delta.t.shape[:-1]))
         if self.kind == PRISMATIC:
-            return float((delta.t - self.params["base"]) @ self.params["axis"])
+            return _float_if_single(row_dot(delta.t - self.params["base"], self.params["axis"]))
         axis = self.params["axis"]
         center = self.params["center"]
         base = self.params["base"]
         # candidate from the rotation component
         q_err = quat_mul(delta.q, quat_conj(base.q))
-        candidates = [float(quat_to_rotvec(q_err) @ axis)]
-        # candidate from the translation's angle around the rotation line
+        by_rotation = row_dot(quat_to_rotvec(q_err), axis)
+        # candidate from the translation's angle around the rotation line,
+        # where both the pose and the base lie off that line
         u, v = _plane_basis(axis)
         rel = delta.t - center
         ref = base.t - center
-        a = np.array([rel @ u, rel @ v])
+        a = np.stack([row_dot(rel, u), row_dot(rel, v)], axis=-1)
         b = np.array([ref @ u, ref @ v])
-        if np.linalg.norm(a) > 1e-9 and np.linalg.norm(b) > 1e-9:
-            candidates.append(float(np.arctan2(b[0] * a[1] - b[1] * a[0], b @ a)))
+        by_translation = np.arctan2(b[0] * a[..., 1] - b[1] * a[..., 0], row_dot(b, a))
+        off_line = (np.sqrt(row_dot(a, a)) > 1e-9) & (np.sqrt(b @ b) > 1e-9)
 
         def residual(q):
             m, rad = pose_residual(delta, self.predict(q))
             return m + 0.1 * rad
 
-        return min(candidates, key=residual)
+        # a tie keeps the rotation candidate
+        better = off_line & (residual(by_translation) < residual(by_rotation))
+        return _float_if_single(np.where(better, by_translation, by_rotation))
 
 
 def _gauss_logpdf(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -181,10 +183,7 @@ def loglik(model: JointModel, seq: RelativePoseSequence, noise: NoiseModel | Non
     """
     noise = noise or NoiseModel()
     qs = model.configurations if model.configurations.size else np.zeros(len(seq))
-    t_res = np.empty(len(seq))
-    r_res = np.empty(len(seq))
-    for k, delta in enumerate(seq.deltas):
-        t_res[k], r_res[k] = pose_residual(delta, model.predict(float(qs[k])))
+    t_res, r_res = pose_residual(Pose.stack(seq.deltas), model.predict(qs))
     return float(
         np.sum(_gauss_logpdf(t_res, noise.sigma_pos))
         + np.sum(_gauss_logpdf(r_res, noise.sigma_rot))
@@ -210,10 +209,8 @@ def fit_rigid(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> Joi
     """Constant-offset model: chordal-mean rotation and mean translation."""
     if len(seq) == 0:
         raise EmptyInput("fit_rigid needs at least one observation")
-    params = {
-        "rotation": mean_rotation(seq.quaternions()),
-        "translation": seq.translations().mean(axis=0),
-    }
+    deltas = Pose.stack(seq.deltas)
+    params = {"rotation": mean_rotation(deltas.q), "translation": deltas.t.mean(axis=0)}
     return _finalize(RIGID, params, np.array([]), seq, noise, False)
 
 
@@ -227,7 +224,8 @@ def fit_prismatic(seq: RelativePoseSequence, noise: NoiseModel | None = None) ->
     """
     if len(seq) < 3:
         raise EmptyInput("fit_prismatic needs >=3 observations")
-    T = seq.translations()
+    deltas = Pose.stack(seq.deltas)
+    T = deltas.t
     centroid = T.mean(axis=0)
     _, _, vt = np.linalg.svd(T - centroid)
     axis = vt[0]
@@ -239,7 +237,7 @@ def fit_prismatic(seq: RelativePoseSequence, noise: NoiseModel | None = None) ->
     params = {
         "axis": axis,
         "base": base,
-        "rotation": mean_rotation(seq.quaternions()),
+        "rotation": mean_rotation(deltas.q),
     }
     return _finalize(PRISMATIC, params, qs, seq, noise, degenerate)
 
@@ -286,8 +284,8 @@ def fit_revolute(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
     """
     if len(seq) < 3:
         raise EmptyInput("fit_revolute needs >=3 observations")
-    Q = seq.quaternions()
-    rel = quat_mul(Q, quat_conj(Q[0]))
+    deltas = Pose.stack(seq.deltas)
+    rel = quat_mul(deltas.q, quat_conj(deltas.q[0]))
     vecs = quat_to_rotvec(rel)
     scatter = vecs.T @ vecs
     w, V = np.linalg.eigh(scatter)
@@ -300,8 +298,7 @@ def fit_revolute(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
     qs_rot = qs_rot - qs_rot[0]
 
     u, v = _plane_basis(axis)
-    T = seq.translations()
-    xy = np.column_stack([T @ u, T @ v])
+    xy = np.column_stack([deltas.t @ u, deltas.t @ v])
     cx, cy, radius = _fit_circle(xy)
     center = cx * u + cy * v
     rel_xy = xy - [cx, cy]
@@ -322,14 +319,8 @@ def fit_revolute(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
     degenerate = span < MIN_REVOLUTE_SPAN or (use_circle and spread > radius)
 
     # debiased base: rotate every delta back to configuration zero, average
-    bases = [
-        compose(Pose.rot_about_line(axis, center, -float(q)), d)
-        for q, d in zip(qs, seq.deltas)
-    ]
-    base = Pose(
-        mean_rotation(np.array([b.q for b in bases])),
-        np.mean([b.t for b in bases], axis=0),
-    )
+    bases = compose(Pose.rot_about_line(axis, center, -qs), deltas)
+    base = Pose(mean_rotation(bases.q), np.mean(bases.t, axis=0))
     params = {"axis": axis, "center": center, "base": base}
     return _finalize(REVOLUTE, params, qs, seq, noise, degenerate)
 
@@ -352,5 +343,6 @@ def select_model(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
 def model_fit_error(model: JointModel, seq: RelativePoseSequence) -> tuple[float, float]:
     """(mean translation residual in meters, mean rotation residual in
     degrees) at the per-frame best configuration on the model manifold."""
-    t_res, r_res = zip(*(pose_residual(d, model.predict(model.project(d))) for d in seq.deltas))
+    deltas = Pose.stack(seq.deltas)
+    t_res, r_res = pose_residual(deltas, model.predict(model.project(deltas)))
     return float(np.mean(t_res)), float(np.mean(np.degrees(r_res)))

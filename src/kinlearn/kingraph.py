@@ -161,10 +161,12 @@ def predict(
 ) -> dict[int, Pose]:
     """Part poses at the given per-edge configurations.
 
-    The root part carries ``base_pose`` (identity by default); every
-    other part's pose follows its path to the root through the edge
-    models. Rigid edges need no configuration; configurations outside
-    the observed range trigger an extrapolation warning but are honored.
+    A configuration is a number or an array; arrays of one shape give
+    every part a stack of poses of that shape in one walk of the tree. The
+    root part carries ``base_pose`` (identity by default); every other
+    part's pose follows its path to the root through the edge models. Rigid
+    edges need no configuration; configurations outside the observed range
+    trigger an extrapolation warning but are honored.
     """
     poses = {graph.root(): base_pose or Pose.identity()}
     for src, dst, model, forward in graph.walk():
@@ -177,14 +179,14 @@ def predict(
                 raise MissingConfiguration(
                     f"edge ({a}, {b}) [{model.kind}] needs a configuration"
                 )
-            if model.extrapolates(q):
+            if np.any(model.extrapolates(q)):
                 lo, hi = model.q_range()
                 warnings.warn(
                     f"edge ({a}, {b}): configuration {q} outside observed "
                     f"range [{lo}, {hi}], extrapolating",
                     RuntimeWarning,
                 )
-        delta = model.predict(float(q))
+        delta = model.predict(q)
         poses[dst] = compose(poses[src], delta if forward else inverse(delta))
     return poses
 
@@ -409,15 +411,16 @@ def evaluate(
         part = part_of_cluster[cid]
         first = seq.first_frame()
         ref = ground_truth.part_poses[part][first]
-        sq_pos: list[float] = []
-        sq_rot: list[float] = []
-        for f, pose in seq.poses.items():
-            true = compose(ground_truth.part_poses[part][f], inverse(ref))
-            m, rad = pose_residual(pose, true)
-            sq_pos.append(m ** 2)
-            sq_rot.append(float(np.degrees(rad)) ** 2)
-            all_pos.append(np.sqrt(sq_pos[-1]))
-            all_rot.append(np.sqrt(sq_rot[-1]))
+        true = compose(
+            Pose.stack([ground_truth.part_poses[part][f] for f in seq.poses]), inverse(ref)
+        )
+        m, rad = pose_residual(Pose.stack(seq.poses.values()), true)
+        # squared per frame with Python floats, as numpy's square can differ
+        # from float ** 2 in the last bit
+        sq_pos = [v ** 2 for v in m.tolist()]
+        sq_rot = [v ** 2 for v in np.degrees(rad).tolist()]
+        all_pos += np.sqrt(sq_pos).tolist()
+        all_rot += np.sqrt(sq_rot).tolist()
         pose_rmse_m[part] = float(np.sqrt(np.mean(sq_pos)))
         pose_rmse_deg[part] = float(np.sqrt(np.mean(sq_rot)))
 

@@ -7,7 +7,7 @@ import pytest
 
 from kinlearn import synth, trajectories
 from kinlearn.cli import main
-from kinlearn.kingraph import load_db
+from kinlearn.kingraph import load_db, predict
 
 
 def run(argv):
@@ -240,6 +240,58 @@ class TestPredict:
             run(["predict", db, "--object", "door", "--sweep", "0:1.5:0.1",
                  "-o", p])
         assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+
+    def test_rigid_only_rows_match_header(self, tmp_path):
+        db = tmp_path / "box.db"
+        db.write_text("\n".join([
+            "kgraphdb 1", "object box", "vertices 0 1",
+            "edge 0 1 rigid 6 10.0 -20.0 0",
+            "param rotation 0.9 0.1 0.2 0.3", "param translation 0.1 -0.2 0.3", "configs",
+        ]) + "\n")
+        for flags, n_rows in (([], 1), (["--sweep", "0:0.2:0.1"], 3)):
+            code, out, _ = run(["predict", str(db), "--object", "box", *flags])
+            assert code == 0
+            header, *rows = out.splitlines()
+            assert len(rows) == n_rows
+            assert header.split(",")[1] == "p0_qw"
+            assert all(len(r.split(",")) == len(header.split(",")) for r in rows)
+            assert all(r.split(",")[1] == "1.0" for r in rows)  # p0_qw of the root
+
+    def test_one_call_matches_row_by_row(self, door_files, tmp_path):
+        _, db, _ = door_files
+        graph = load_db(db).get("door")
+        (a, b, model), = graph.edges
+        code, out, _ = run(["predict", db, "--object", "door", "--sweep=-1:3:0.25"])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == 17
+        for r, line in enumerate(rows):
+            cells = line.split(",")
+            q = float(cells[1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                poses = predict(graph, {(a, b): q})
+            values = [q]
+            for v in graph.vertices:
+                values += [*poses[v].q, *poses[v].t]
+            flag = "1" if model.extrapolates(q) else "0"
+            assert line == f"{r},{','.join(repr(float(x)) for x in values)},{flag}"
+
+    @pytest.mark.parametrize("flags", [
+        ["--sweep", "0:inf:1"], ["--sweep", "0:1:inf"], ["--sweep", "nan:1:0.5"],
+        ["--schedule", "nan"], ["--schedule", "inf"], ["--schedule", "-inf"],
+    ])
+    def test_non_finite_configuration_exits_2(self, door_files, tmp_path, flags):
+        _, db, _ = door_files
+        if flags[0] == "--schedule":
+            sched = tmp_path / "sched.txt"
+            sched.write_text(f"0.1\n{flags[1]}\n")
+            flags = ["--schedule", str(sched)]
+        code, out, err = run(["predict", db, "--object", "door", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
 
 
 class TestEval:

@@ -16,6 +16,7 @@ from kinlearn.geometry import (
     log_pose,
     mean_rotation,
     pose_distance,
+    pose_residual,
     quat_angle,
     quat_canonical,
     quat_from_matrix,
@@ -383,3 +384,57 @@ class TestAngles:
         a = Pose.from_rotvec([0, 0, np.deg2rad(70)])
         b = Pose.from_rotvec([0, 0, np.deg2rad(30)])
         assert abs(rotation_angle(a, b) - np.deg2rad(40)) < 1e-12
+
+
+class TestPoseStacks:
+    def poses(self, n=200, seed=5):
+        rng = np.random.default_rng(seed)
+        return [random_pose(rng) for _ in range(n)]
+
+    def test_stack_keeps_each_pose_byte_for_byte(self):
+        ps = self.poses()
+        stacked = Pose.stack(ps)
+        assert stacked.q.shape == (len(ps), 4) and stacked.t.shape == (len(ps), 3)
+        for k, p in enumerate(ps):
+            assert stacked.q[k].tobytes() == p.q.tobytes()
+            assert stacked.t[k].tobytes() == p.t.tobytes()
+        # building the stack through the constructor normalizes again,
+        # which moves the last bit of some of these quaternions
+        renormalized = Pose(np.array([p.q for p in ps]), np.array([p.t for p in ps]))
+        assert not np.array_equal(renormalized.q, stacked.q)
+
+    def test_operations_match_one_pose_at_a_time(self):
+        ps, qs = self.poses(), self.poses(seed=6)
+        a, b = Pose.stack(ps), Pose.stack(qs)
+        residual, distance = pose_residual(a, b), pose_distance(a, b)
+        angle = rotation_angle(a, b)
+        for k, (p, q) in enumerate(zip(ps, qs)):
+            for got, want in ((compose(a, b), compose(p, q)), (relative(a, b), relative(p, q)),
+                              (inverse(a), inverse(p))):
+                assert np.array_equal(got.q[k], want.q) and np.array_equal(got.t[k], want.t)
+            one = pose_residual(p, q)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert (residual[0][k], residual[1][k]) == one
+            assert (distance[0][k], distance[1][k]) == pose_distance(p, q)
+            assert angle[k] == rotation_angle(p, q)
+
+    def test_one_pose_residual_keeps_the_vector_norm(self):
+        for p, q in zip(self.poses(), self.poses(seed=7)):
+            err = relative(p, q)
+            assert pose_residual(p, q) == (
+                float(np.linalg.norm(err.t)), float(quat_angle(err.q))
+            )
+
+    def test_rot_about_line_takes_an_array_of_angles(self):
+        axis, point = np.array([0.3, -0.2, 0.9]), np.array([0.1, 0.5, -0.4])
+        angles = np.linspace(-4.0, 7.0, 23)
+        stacked = Pose.rot_about_line(axis, point, angles)
+        for k, angle in enumerate(angles):
+            one = Pose.rot_about_line(axis, point, float(angle))
+            assert np.array_equal(stacked.q[k], one.q) and np.array_equal(stacked.t[k], one.t)
+
+    def test_last_axis_is_checked(self):
+        with pytest.raises(ValueError):
+            Pose(np.ones((5, 3)), np.zeros((5, 3)))
+        with pytest.raises(ValueError):
+            Pose(1.0, np.zeros(3))

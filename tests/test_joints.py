@@ -8,13 +8,18 @@ from kinlearn.geometry import (
     apply_pose,
     compose,
     inverse,
+    quat_angle,
+    quat_conj,
     quat_from_rotvec,
+    quat_mul,
     quat_rotate,
+    quat_to_rotvec,
 )
 from kinlearn.joints import (
     JointModel,
     NoiseModel,
     RelativePoseSequence,
+    _plane_basis,
     fit_prismatic,
     fit_revolute,
     fit_rigid,
@@ -376,3 +381,103 @@ class TestModelFitError:
         reproj = [combined(m.project(d), d) for d in noisy.deltas]
         stored = [combined(q, d) for q, d in zip(m.configurations, noisy.deltas)]
         assert np.mean(reproj) <= np.mean(stored) + 1e-12
+
+
+def _reference_residual(delta, predicted):
+    """(translation norm, rotation angle) of one frame, from its own arrays."""
+    err = compose(inverse(predicted), delta)
+    return float(np.linalg.norm(err.t)), float(quat_angle(err.q))
+
+
+def _reference_project(model, delta):
+    """One frame's best configuration: every candidate scored on its own,
+    the first of equal scores kept."""
+    if model.kind == "rigid":
+        return 0.0
+    if model.kind == "prismatic":
+        return float((delta.t - model.params["base"]) @ model.params["axis"])
+    axis, center, base = (model.params[k] for k in ("axis", "center", "base"))
+    candidates = [float(quat_to_rotvec(quat_mul(delta.q, quat_conj(base.q))) @ axis)]
+    u, v = _plane_basis(axis)
+    a = np.array([(delta.t - center) @ u, (delta.t - center) @ v])
+    b = np.array([(base.t - center) @ u, (base.t - center) @ v])
+    if np.linalg.norm(a) > 1e-9 and np.linalg.norm(b) > 1e-9:
+        candidates.append(float(np.arctan2(b[0] * a[1] - b[1] * a[0], b @ a)))
+
+    def score(q):
+        m, rad = _reference_residual(delta, model.predict(q))
+        return m + 0.1 * rad
+
+    return min(candidates, key=score)
+
+
+def _noisy(seq, seed, sigma_t=0.004, sigma_r=0.03):
+    rng = np.random.default_rng(seed)
+    return make_seq([
+        compose(Pose.from_rotvec(rng.normal(0, sigma_r, 3), rng.normal(0, sigma_t, 3)), d)
+        for d in seq.deltas
+    ])
+
+
+class TestBatchedResiduals:
+    """loglik and model_fit_error score a whole sequence in one residual
+    call; each must equal a per-frame loop bit for bit."""
+
+    def sequences(self):
+        rev, _ = revolute_seq(n=40, axis=(0.2, 0.3, 0.9), center=(0.1, -0.2, 0.3))
+        on_line, _ = revolute_seq(n=25, center=(0.3, 0.1, 0.0),
+                                  base=Pose.from_rotvec([0.0, 0.0, 0.1], [0.3, 0.1, 0.0]))
+        pri, _ = prismatic_seq(n=30, axis=(0.6, 0.0, 0.8))
+        # noise-free sequences leave residuals of a few ulps, where one bit
+        # of a delta's quaternion shows in the log-likelihood
+        return [_noisy(rev, 1), _noisy(rev, 2, sigma_t=0.02, sigma_r=0.2), on_line,
+                _noisy(pri, 3), rev, pri]
+
+    def models(self):
+        for seq in self.sequences():
+            for fit in (fit_rigid, fit_prismatic, fit_revolute):
+                yield fit(seq), seq
+
+    def test_loglik_matches_per_frame_loop(self):
+        noise = NoiseModel(sigma_pos=0.004, sigma_rot=0.05)
+        for model, seq in self.models():
+            qs = model.configurations if model.configurations.size else np.zeros(len(seq))
+            res = np.array([_reference_residual(d, model.predict(float(q)))
+                            for q, d in zip(qs, seq.deltas)])
+            want = float(
+                np.sum(-0.5 * np.log(2 * np.pi * noise.sigma_pos**2)
+                       - res[:, 0] ** 2 / (2 * noise.sigma_pos**2))
+                + np.sum(-0.5 * np.log(2 * np.pi * noise.sigma_rot**2)
+                         - res[:, 1] ** 2 / (2 * noise.sigma_rot**2))
+            )
+            assert loglik(model, seq, noise) == want
+
+    def test_model_fit_error_matches_per_frame_loop(self):
+        winners = set()
+        for model, seq in self.models():
+            t_res, r_res = [], []
+            for d in seq.deltas:
+                q = _reference_project(model, d)
+                assert repr(model.project(d)) == repr(q)
+                if model.kind == "revolute":
+                    rot = float(quat_to_rotvec(
+                        quat_mul(d.q, quat_conj(model.params["base"].q))) @ model.params["axis"])
+                    winners.add("rotation" if q == rot else "translation")
+                m, rad = _reference_residual(d, model.predict(q))
+                t_res.append(m)
+                r_res.append(rad)
+            want = (float(np.mean(t_res)), float(np.mean(np.degrees(r_res))))
+            assert model_fit_error(model, seq) == want
+        # both revolute candidates win on some frame
+        assert winners == {"rotation", "translation"}
+
+    def test_predict_takes_an_array_of_configurations(self):
+        qs = np.linspace(-1.5, 3.0, 31)
+        for model, _ in self.models():
+            stacked = model.predict(qs)
+            flags = model.extrapolates(qs)
+            for k, q in enumerate(qs):
+                one = model.predict(float(q))
+                assert np.array_equal(np.broadcast_to(stacked.q, (len(qs), 4))[k], one.q)
+                assert np.array_equal(np.broadcast_to(stacked.t, (len(qs), 3))[k], one.t)
+                assert flags[k] == model.extrapolates(float(q))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from kinlearn.errors import (
     SchemaVersionMismatch,
     UnknownObject,
 )
-from kinlearn.geometry import Pose, compose, inverse, pose_distance, relative
+from kinlearn.geometry import Pose, compose, inverse, pose_distance, quat_angle, relative
 from kinlearn.joints import JointModel, relative_pose_sequence
 from kinlearn.kingraph import (
     KinematicGraph,
@@ -25,8 +26,9 @@ from kinlearn.kingraph import (
     predict,
     save_db,
 )
-from kinlearn.posegraph import estimate_cluster_poses
-from kinlearn.segmentation import cluster, similarity_matrix
+from kinlearn.posegraph import ClusterPoseSequence, estimate_cluster_poses
+from kinlearn.segmentation import ClusterAssignment, cluster, similarity_matrix
+from kinlearn.trajectories import GroundTruth
 
 
 def run_pipeline(name, frames=80, seed=3, sigma_pos=None, features=None):
@@ -40,6 +42,11 @@ def run_pipeline(name, frames=80, seed=3, sigma_pos=None, features=None):
     seqs = estimate_cluster_poses(demo, assignment)
     graph = build_graph(seqs, object_id=name)
     return demo, assignment, seqs, graph
+
+
+def random_pose(rng, max_angle=3.0):
+    return Pose.from_rotvec(rng.uniform(-max_angle, max_angle) * rng.normal(size=3) / 1.7,
+                            rng.normal(size=3))
 
 
 def part_map(assignment, gt, seqs):
@@ -247,6 +254,56 @@ class TestPredict:
         assert poses[1] == p1
         assert poses[2] == p2
 
+    def test_configuration_arrays_match_rows(self):
+        # the chain above plus a rigid edge hanging off part 2; in-range,
+        # negative and extrapolated values, one tree walk for all rows
+        slide = JointModel(
+            "prismatic",
+            {"axis": np.array([0.0, 1.0, 0.0]), "base": np.array([0.1, 0.0, 0.0]),
+             "rotation": np.array([1.0, 0.0, 0.0, 0.0])},
+            8, 0.0, 0.0, np.array([0.0, 0.4]),
+        )
+        hinge = JointModel(
+            "revolute",
+            {"axis": np.array([1.0, 0.0, 0.0]), "center": np.array([0.0, 0.0, 0.5]),
+             "base": Pose.from_rotvec([0.0, 0.3, 0.0], [0.2, 0.1, 0.9])},
+            9, 0.0, 0.0, np.array([0.0, 1.0]),
+        )
+        lid = JointModel(
+            "rigid",
+            {"rotation": np.array([0.9, 0.1, -0.2, 0.3]),
+             "translation": np.array([0.05, -0.1, 0.2])},
+            6, 0.0, 0.0, np.array([]),
+        )
+        graph = KinematicGraph(
+            "chain", (0, 1, 2, 3), ((2, 1, hinge), (0, 1, slide), (3, 2, lid))
+        )
+        slides = np.array([-0.3, 0.0, 0.25, 0.4, 0.9, 0.1])
+        turns = np.array([0.7, -1.0, 0.0, 1.0, 2.5, 6.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stacked = predict(graph, {(0, 1): slides, (1, 2): turns})
+            rows = [predict(graph, {(0, 1): s, (1, 2): h}) for s, h in zip(slides, turns)]
+        for v in graph.vertices:
+            q = np.broadcast_to(stacked[v].q, (len(rows), 4))
+            t = np.broadcast_to(stacked[v].t, (len(rows), 3))
+            for k, row in enumerate(rows):
+                assert np.array_equal(q[k], row[v].q) and np.array_equal(t[k], row[v].t)
+
+    def test_extrapolated_array_warns_once(self):
+        hinge = JointModel(
+            "revolute",
+            {"axis": np.array([0.0, 0.0, 1.0]), "center": np.zeros(3),
+             "base": Pose(t=[0.5, 0.0, 0.0])},
+            9, 0.0, 0.0, np.array([0.0, 1.0]),
+        )
+        graph = KinematicGraph("door", (0, 1), ((0, 1, hinge),))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            predict(graph, {(0, 1): np.array([0.0, 0.5])})
+            predict(graph, {(0, 1): np.array([0.5, 1.5, -0.5])})
+        assert [str(w.message).split(":")[0] for w in caught] == ["edge (0, 1)"]
+
     def test_missing_configuration(self):
         demo, assignment, seqs, graph = run_pipeline("door")
         with pytest.raises(MissingConfiguration):
@@ -414,6 +471,38 @@ class TestEvaluate:
         assert edge.axis_error_deg < 0.01
         assert edge.axis_position_error_m < 1e-4
         assert set(report.part_of_cluster.values()) == {0, 1}
+
+    def test_pose_errors_match_per_frame_loop(self):
+        # thousands of frames, so that the few values whose numpy square
+        # differs from float ** 2 in the last bit are among them
+        rng = np.random.default_rng(8)
+        n = 3000
+        truth = {p: [random_pose(rng) for _ in range(n)] for p in (0, 1)}
+        seqs = [
+            ClusterPoseSequence(p, {f: compose(random_pose(rng, 0.05), truth[p][f])
+                                    for f in rng.permutation(n).tolist()})
+            for p in (0, 1)
+        ]
+        gt = GroundTruth({10: 0, 11: 1}, truth, [])
+        rigid = JointModel("rigid", {"rotation": np.array([1.0, 0.0, 0.0, 0.0]),
+                                     "translation": np.zeros(3)}, 6, 0.0, 0.0, np.array([]))
+        graph = KinematicGraph("x", (0, 1), ((0, 1, rigid),))
+        report = evaluate(graph, seqs, ClusterAssignment({10: 0, 11: 1}), gt)
+        all_pos, all_rot = [], []
+        for seq in seqs:
+            part = report.part_of_cluster[seq.cluster_id]
+            ref = gt.part_poses[part][seq.first_frame()]
+            sq_pos, sq_rot = [], []
+            for f, pose in seq.poses.items():
+                err = relative(pose, compose(gt.part_poses[part][f], inverse(ref)))
+                sq_pos.append(float(np.linalg.norm(err.t)) ** 2)
+                sq_rot.append(float(np.degrees(quat_angle(err.q))) ** 2)
+            all_pos += list(np.sqrt(sq_pos))
+            all_rot += list(np.sqrt(sq_rot))
+            assert report.pose_rmse_m[part] == float(np.sqrt(np.mean(sq_pos)))
+            assert report.pose_rmse_deg[part] == float(np.sqrt(np.mean(sq_rot)))
+        assert report.mean_pose_error_m == float(np.mean(all_pos))
+        assert report.mean_pose_error_deg == float(np.mean(all_rot))
 
     def test_noisy_door_reports_finite_errors(self):
         demo, assignment, seqs, graph = run_pipeline(

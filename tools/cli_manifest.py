@@ -4,8 +4,9 @@ Runs a fixed matrix of ``kinlearn`` commands in a fresh, empty directory
 and prints one line per command (argv, exit code, sha256 of stdout and of
 stderr) and one line per file left in the directory (name, sha256). The
 matrix covers every catalog object, clean, noisy and rough, through generate,
-segment, learn --dump-similarity, predict and eval, plus the error paths
-of every subcommand.
+segment, learn --dump-similarity, predict (a short sweep and a 401-row one
+that runs from negative configurations past the observed range) and eval,
+plus the error paths of every subcommand.
 
 The commands run in-process through ``kinlearn.cli.main``, taken from
 whichever ``kinlearn`` is first on the import path. Warnings are written
@@ -82,6 +83,8 @@ def pipeline_commands():
                  "--dump-similarity", f"{stem}.sim.csv", "-o", db],
                 ["predict", db, "--object", obj, "--sweep", "0:1:0.1",
                  "-o", f"{stem}.pred.csv"],
+                ["predict", db, "--object", obj, "--sweep=-1:3:0.01",
+                 "-o", f"{stem}.long.csv"],
                 ["eval", db, traj, "--object", obj, "--seed", SEED],
                 ["eval", db, traj, "--object", obj, "--seed", SEED,
                  "--format", "csv", "-o", f"{stem}.eval.csv"],
@@ -125,11 +128,18 @@ def make_bad_inputs() -> None:
     write("sched-bad.txt", "0.1\nabc\n")
     write("sched-cols.txt", "0.1 0.2\n")
     write("sched-monitor.txt", "0.1 0.2\n0.3 0.4\n")
+    write("sched-nan.txt", "0.1\nnan\n")
+    write("sched-inf.txt", "0.1\n-inf\n")
     write("corrupt.db", "garbage\n")
     write("v9.db", "kgraphdb 99\n")
     write("empty.db", "")
     db_lines = read("door-clean.db").splitlines()
     write("twice.db", "\n".join(db_lines + db_lines[1:]) + "\n")
+    write("rigid.db", "\n".join([
+        "kgraphdb 1", "object box", "vertices 0 1",
+        "edge 0 1 rigid 6 10.0 -20.0 0",
+        "param rotation 0.9 0.1 0.2 0.3", "param translation 0.1 -0.2 0.3", "configs",
+    ]) + "\n")
 
 
 def error_commands():
@@ -176,6 +186,13 @@ def error_commands():
         ["predict", "empty.db", *door, "--sweep", "0:1:0.5"],
         ["predict", "missing.db", *door, "--sweep", "0:1:0.5"],
         ["predict", "twice.db", *door, "--sweep", "0:1:0.5"],
+        ["predict", "door-clean.db", *door, "--sweep", "0:inf:1"],
+        ["predict", "door-clean.db", *door, "--sweep", "0:1:inf"],
+        ["predict", "door-clean.db", *door, "--schedule", "sched-nan.txt"],
+        ["predict", "door-clean.db", *door, "--schedule", "sched-inf.txt"],
+        ["predict", "rigid.db", "--object", "box", "-o", "rigid.csv"],
+        ["predict", "rigid.db", "--object", "box", "--sweep", "0:0.2:0.1",
+         "-o", "rigid.sweep.csv"],
     ]
 
 
