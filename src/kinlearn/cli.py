@@ -14,6 +14,7 @@ it to every subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -29,7 +30,7 @@ from .errors import (
     SchemaVersionMismatch,
     UnknownObject,
 )
-from .joints import NoiseModel
+from .joints import DEFAULT_SIGMA_POS, DEFAULT_SIGMA_ROT, NoiseModel
 from .kingraph import (
     ModelDatabase,
     build_graph,
@@ -44,8 +45,11 @@ from .posegraph import (
     estimate_cluster_poses,
 )
 from .segmentation import (
+    DEFAULT_EPS,
     DEFAULT_GAMMA_NORMAL,
     DEFAULT_GAMMA_POS,
+    DEFAULT_MIN_PTS,
+    NOISE,
     SimilarityParams,
     cluster,
     similarity_matrix,
@@ -150,7 +154,7 @@ def cmd_segment(args, stdout, stderr) -> int:
     matrix, assignment = _segment(demo, args)
     if args.dump_similarity:
         _dump_similarity(matrix, args.dump_similarity)
-    noise = sum(1 for c in assignment.labels.values() if c == -1)
+    noise = sum(1 for c in assignment.labels.values() if c == NOISE)
     lines = []
     if args.format == "csv":
         lines.append("trajectory,cluster")
@@ -197,7 +201,7 @@ def cmd_learn(args, stdout, stderr) -> int:
             )
     write_lines(poses_path, lines)
 
-    noise = sum(1 for c in assignment.labels.values() if c == -1)
+    noise = sum(1 for c in assignment.labels.values() if c == NOISE)
     stdout.write(f"clusters: {assignment.n_clusters()} (noise: {noise})\n")
     for line in _bic_table(graph):
         stdout.write(line + "\n")
@@ -212,8 +216,10 @@ def _parse_sweep(text: str):
         raise ValueError("sweep LO, HI and STEP must be finite")
     if step <= 0 or hi < lo:
         raise ValueError("sweep must be LO:HI:STEP with STEP > 0 and HI >= LO")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    try:  # a row count past any integer or any memory is bad input too
+        return lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
+    except (OverflowError, MemoryError):
+        raise ValueError(f"sweep {text!r} has too many rows") from None
 
 
 def _configuration_rows(args, n_free: int) -> np.ndarray:
@@ -314,8 +320,8 @@ def cmd_eval(args, stdout, stderr) -> int:
 
 
 def _add_segmentation_flags(p):
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--min-pts", type=int, default=5, dest="min_pts")
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS, dest="min_pts")
     p.add_argument("--gamma-pos", type=float, default=DEFAULT_GAMMA_POS, dest="gamma_pos")
     p.add_argument("--gamma-normal", type=float, default=DEFAULT_GAMMA_NORMAL,
                    dest="gamma_normal")
@@ -326,10 +332,11 @@ def _add_learning_flags(p):
                    dest="inlier_thresh")
     p.add_argument("--sparse-stride", type=int, default=DEFAULT_SPARSE_STRIDE,
                    dest="sparse_stride")
-    p.add_argument("--sigma-pos", type=float, default=0.01, dest="sigma_pos")
-    p.add_argument("--sigma-rot", type=float, default=0.087, dest="sigma_rot")
+    p.add_argument("--sigma-pos", type=float, default=DEFAULT_SIGMA_POS, dest="sigma_pos")
+    p.add_argument("--sigma-rot", type=float, default=DEFAULT_SIGMA_ROT, dest="sigma_rot")
 
 
+@functools.cache  # a parser per call would leave reference cycles for the cyclic collector
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kinlearn",

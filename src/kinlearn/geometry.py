@@ -14,7 +14,8 @@ single-item form.
 A ``Pose`` holds one pose or a stack (``q`` (..., 4), ``t`` (..., 3)). The
 operations and ``Pose.rot_about_line`` broadcast, giving every item the
 bytes of a one-pose call; distances are floats for one pose, arrays for a
-stack. ``Pose.matrix``/``from_matrix``/``rotation_matrix`` and the twist
+stack. ``Pose.stack`` and ``pose[k]`` build and read stacks with the stored
+bytes. ``Pose.matrix``/``from_matrix``/``rotation_matrix`` and the twist
 helpers take one pose.
 """
 
@@ -223,13 +224,25 @@ class Pose:
         return Pose()
 
     @staticmethod
-    def stack(poses) -> "Pose":
-        """One Pose holding ``poses`` in order, their arrays kept as they are:
-        ``q`` is not normalized again, which could move its last bit."""
+    def _stored(q, t) -> "Pose":
+        """``q`` and ``t`` as they are: normalizing again could move a last bit."""
         p = object.__new__(Pose)
-        object.__setattr__(p, "q", _as_array([item.q for item in poses], 4))
-        object.__setattr__(p, "t", _as_array([item.t for item in poses], 3))
+        object.__setattr__(p, "q", _as_array(q, 4))
+        object.__setattr__(p, "t", _as_array(t, 3))
         return p
+
+    @staticmethod
+    def stack(poses) -> "Pose":
+        """The poses of an iterable, as stored; none gives shapes (0, 4) and (0, 3)."""
+        poses = list(poses)
+        return Pose._stored(
+            np.reshape([p.q for p in poses], (len(poses), 4)),
+            np.reshape([p.t for p in poses], (len(poses), 3)),
+        )
+
+    def __getitem__(self, k) -> "Pose":
+        """Item or sub-stack ``k`` (int, slice or index array), as stored."""
+        return Pose._stored(self.q[k], self.t[k])
 
     @staticmethod
     def from_rotvec(rotvec, t=(0.0, 0.0, 0.0)) -> "Pose":

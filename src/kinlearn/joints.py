@@ -46,46 +46,48 @@ __all__ = [
 PARAM_COUNTS = {RIGID: 6, PRISMATIC: 8, REVOLUTE: 9}
 KIND_ORDER = {RIGID: 0, PRISMATIC: 1, REVOLUTE: 2}
 
+DEFAULT_SIGMA_POS = 0.01  # meters
+DEFAULT_SIGMA_ROT = 0.087  # radians, about 5 degrees
+
 MIN_PRISMATIC_SPREAD = 1e-3  # meters
 MIN_REVOLUTE_SPAN = np.deg2rad(5.0)
 
 
 @dataclass(frozen=True)
 class RelativePoseSequence:
-    """Per-frame pose of part i expressed in part j's frame."""
+    """Per-frame pose of part i in part j's frame: one stack, ``deltas[k]`` at ``frames[k]``."""
 
     pair: tuple[int, int]
     frames: tuple[int, ...]
-    deltas: tuple[Pose, ...]
+    deltas: Pose
 
     def __post_init__(self):
-        if len(self.frames) != len(self.deltas):
+        if self.deltas.t.shape != (len(self.frames), 3):
             raise ValueError("frames and deltas must have equal length")
-        if len(self.deltas) == 0:
+        if not self.frames:
             raise EmptyInput("relative pose sequence is empty")
 
     def __len__(self):
-        return len(self.deltas)
+        return len(self.frames)
 
 
 def relative_pose_sequence(seq_i, seq_j) -> RelativePoseSequence:
-    """Relative poses of cluster i with respect to cluster j over the
-    frames where both have estimates."""
+    """Relative poses of cluster i with respect to cluster j, one stack over
+    the frames where both ``poses`` dicts (frame -> Pose) have estimates."""
     common = sorted(set(seq_i.poses) & set(seq_j.poses))
     if not common:
         raise EmptyInput(
             f"clusters {seq_i.cluster_id} and {seq_j.cluster_id} share no frames"
         )
-    deltas = tuple(relative(seq_i.poses[f], seq_j.poses[f]) for f in common)
-    return RelativePoseSequence(
-        (seq_i.cluster_id, seq_j.cluster_id), tuple(common), deltas
-    )
+    poses_i, poses_j = (Pose.stack(s.poses[f] for f in common) for s in (seq_i, seq_j))
+    pair = (seq_i.cluster_id, seq_j.cluster_id)
+    return RelativePoseSequence(pair, tuple(common), relative(poses_i, poses_j))
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    sigma_pos: float = 0.01  # meters
-    sigma_rot: float = 0.087  # radians, about 5 degrees
+    sigma_pos: float = DEFAULT_SIGMA_POS
+    sigma_rot: float = DEFAULT_SIGMA_ROT
 
     def __post_init__(self):
         if self.sigma_pos <= 0 or self.sigma_rot <= 0:
@@ -183,7 +185,7 @@ def loglik(model: JointModel, seq: RelativePoseSequence, noise: NoiseModel | Non
     """
     noise = noise or NoiseModel()
     qs = model.configurations if model.configurations.size else np.zeros(len(seq))
-    t_res, r_res = pose_residual(Pose.stack(seq.deltas), model.predict(qs))
+    t_res, r_res = pose_residual(seq.deltas, model.predict(qs))
     return float(
         np.sum(_gauss_logpdf(t_res, noise.sigma_pos))
         + np.sum(_gauss_logpdf(r_res, noise.sigma_rot))
@@ -209,8 +211,7 @@ def fit_rigid(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> Joi
     """Constant-offset model: chordal-mean rotation and mean translation."""
     if len(seq) == 0:
         raise EmptyInput("fit_rigid needs at least one observation")
-    deltas = Pose.stack(seq.deltas)
-    params = {"rotation": mean_rotation(deltas.q), "translation": deltas.t.mean(axis=0)}
+    params = {"rotation": mean_rotation(seq.deltas.q), "translation": seq.deltas.t.mean(axis=0)}
     return _finalize(RIGID, params, np.array([]), seq, noise, False)
 
 
@@ -224,8 +225,7 @@ def fit_prismatic(seq: RelativePoseSequence, noise: NoiseModel | None = None) ->
     """
     if len(seq) < 3:
         raise EmptyInput("fit_prismatic needs >=3 observations")
-    deltas = Pose.stack(seq.deltas)
-    T = deltas.t
+    T = seq.deltas.t
     centroid = T.mean(axis=0)
     _, _, vt = np.linalg.svd(T - centroid)
     axis = vt[0]
@@ -234,11 +234,7 @@ def fit_prismatic(seq: RelativePoseSequence, noise: NoiseModel | None = None) ->
     base = centroid + ((T[0] - centroid) @ axis) * axis
     qs = (T - base) @ axis
     degenerate = float(np.ptp(qs)) < MIN_PRISMATIC_SPREAD
-    params = {
-        "axis": axis,
-        "base": base,
-        "rotation": mean_rotation(deltas.q),
-    }
+    params = {"axis": axis, "base": base, "rotation": mean_rotation(seq.deltas.q)}
     return _finalize(PRISMATIC, params, qs, seq, noise, degenerate)
 
 
@@ -284,8 +280,7 @@ def fit_revolute(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
     """
     if len(seq) < 3:
         raise EmptyInput("fit_revolute needs >=3 observations")
-    deltas = Pose.stack(seq.deltas)
-    rel = quat_mul(deltas.q, quat_conj(deltas.q[0]))
+    rel = quat_mul(seq.deltas.q, quat_conj(seq.deltas.q[0]))
     vecs = quat_to_rotvec(rel)
     scatter = vecs.T @ vecs
     w, V = np.linalg.eigh(scatter)
@@ -298,7 +293,7 @@ def fit_revolute(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
     qs_rot = qs_rot - qs_rot[0]
 
     u, v = _plane_basis(axis)
-    xy = np.column_stack([deltas.t @ u, deltas.t @ v])
+    xy = np.column_stack([seq.deltas.t @ u, seq.deltas.t @ v])
     cx, cy, radius = _fit_circle(xy)
     center = cx * u + cy * v
     rel_xy = xy - [cx, cy]
@@ -319,7 +314,7 @@ def fit_revolute(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
     degenerate = span < MIN_REVOLUTE_SPAN or (use_circle and spread > radius)
 
     # debiased base: rotate every delta back to configuration zero, average
-    bases = compose(Pose.rot_about_line(axis, center, -qs), deltas)
+    bases = compose(Pose.rot_about_line(axis, center, -qs), seq.deltas)
     base = Pose(mean_rotation(bases.q), np.mean(bases.t, axis=0))
     params = {"axis": axis, "center": center, "base": base}
     return _finalize(REVOLUTE, params, qs, seq, noise, degenerate)
@@ -343,6 +338,5 @@ def select_model(seq: RelativePoseSequence, noise: NoiseModel | None = None) -> 
 def model_fit_error(model: JointModel, seq: RelativePoseSequence) -> tuple[float, float]:
     """(mean translation residual in meters, mean rotation residual in
     degrees) at the per-frame best configuration on the model manifold."""
-    deltas = Pose.stack(seq.deltas)
-    t_res, r_res = pose_residual(deltas, model.predict(model.project(deltas)))
+    t_res, r_res = pose_residual(seq.deltas, model.predict(model.project(seq.deltas)))
     return float(np.mean(t_res)), float(np.mean(np.degrees(r_res)))

@@ -409,11 +409,8 @@ def evaluate(
     all_rot: list[float] = []
     for cid, seq in by_cluster.items():
         part = part_of_cluster[cid]
-        first = seq.first_frame()
-        ref = ground_truth.part_poses[part][first]
-        true = compose(
-            Pose.stack([ground_truth.part_poses[part][f] for f in seq.poses]), inverse(ref)
-        )
+        truth = ground_truth.part_poses[part]
+        true = compose(truth[list(seq.poses)], inverse(truth[seq.first_frame()]))
         m, rad = pose_residual(Pose.stack(seq.poses.values()), true)
         # squared per frame with Python floats, as numpy's square can differ
         # from float ** 2 in the last bit

@@ -35,9 +35,9 @@ import scipy.sparse.linalg
 from .errors import DegenerateGeometry, InsufficientCorrespondences
 from .geometry import (
     Pose,
+    apply_pose,
     compose,
     kabsch,
-    quat_canonical,
     quat_conj,
     quat_from_rotvec,
     quat_mul,
@@ -140,8 +140,7 @@ def _sample_consensus(src, dst, inlier_threshold, seed):
     valid, q, t = kabsch(src[idx], dst[idx])
     if not valid.any():
         return None
-    q = quat_canonical(quat_normalize(q))  # the rotation as Pose(q, t) stores it
-    moved = quat_rotate(q[:, None, :], src) + t[:, None, :]
+    moved = apply_pose(Pose(q[:, None, :], t[:, None, :]), src)
     masks = np.linalg.norm(moved - dst, axis=-1) < inlier_threshold
     return masks[np.argmax(np.where(valid, masks.sum(axis=1), -1))]
 
@@ -194,8 +193,7 @@ def _estimate_deltas(pairs, inlier_threshold, seed):
             degenerate[np.flatnonzero(group)[~valid]] = True
         todo = todo & ~degenerate
         pts = todo[seg]
-        q = quat_canonical(quat_normalize(Q[seg[pts]]))  # the rotation as Pose(q, t) stores it
-        moved = quat_rotate(q, src[pts]) + T[seg[pts]]
+        moved = apply_pose(Pose(Q[seg[pts]], T[seg[pts]]), src[pts])
         return todo, pts, np.linalg.norm(moved - dst[pts], axis=-1) < inlier_threshold
 
     _, pts, refreshed = fit(np.ones(m, dtype=bool))
@@ -304,13 +302,9 @@ def _pair_residuals(qa, ta, qb, tb, qd, td):
 
 
 def _velocity_residuals(qa, ta, qb, tb, qc, tc):
-    q1 = quat_mul(qb, quat_conj(qa))
-    t1 = tb - quat_rotate(q1, ta)
-    q2 = quat_mul(qc, quat_conj(qb))
-    t2 = tc - quat_rotate(q2, tb)
-    q_err = quat_mul(quat_conj(q1), q2)
-    t_err = quat_rotate(quat_conj(q1), t2 - t1)
-    return np.concatenate([quat_to_rotvec(q_err), t_err], axis=-1)
+    # constant velocity: the motion b -> c measured against the motion a -> b
+    q_ab = quat_mul(qb, quat_conj(qa))
+    return _pair_residuals(qb, tb, qc, tc, q_ab, tb - quat_rotate(q_ab, ta))
 
 
 _JACOBIAN_STEP = 1e-6

@@ -38,6 +38,8 @@ __all__ = [
 
 NOISE = -1
 
+DEFAULT_EPS = 0.05
+DEFAULT_MIN_PTS = 5
 DEFAULT_GAMMA_POS = 50.0  # 1 / (2 cm)
 DEFAULT_GAMMA_NORMAL = 1.0 / np.cos(np.deg2rad(15.0))
 
@@ -130,7 +132,8 @@ class ClusterAssignment:
         return len(self.clusters)
 
 
-def cluster(matrix: SimilarityMatrix, eps: float = 0.05, min_pts: int = 5) -> ClusterAssignment:
+def cluster(matrix: SimilarityMatrix, eps: float = DEFAULT_EPS,
+            min_pts: int = DEFAULT_MIN_PTS) -> ClusterAssignment:
     """DBSCAN over the similarity-distance 1 - L.
 
     The default ``eps`` is tight because rigid pairs score above 0.99

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpec
-from .geometry import Pose, compose, quat_from_rotvec, quat_rotate
+from .geometry import Pose, apply_pose, compose, quat_from_rotvec, quat_rotate
 from .trajectories import (
     JOINT_KINDS,
     PRISMATIC,
@@ -102,12 +102,14 @@ class JointSpec:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
     profile: MotionProfile = MotionProfile("ramp", 0.0)
 
-    def transform(self, q: float) -> Pose:
+    def transform(self, q: np.ndarray) -> Pose:
+        """Child poses in the parent's frame, one per configuration (rigid: identities)."""
         if self.kind == REVOLUTE:
             return Pose.rot_about_line(self.axis, self.origin, q)
+        identity = Pose.stack([Pose.identity()] * len(q))
         if self.kind == PRISMATIC:
-            return Pose(t=q * np.asarray(self.axis, dtype=float))
-        return Pose.identity()
+            return Pose(identity.q, q[:, None] * np.asarray(self.axis, dtype=float))
+        return identity
 
 
 @dataclass(frozen=True)
@@ -176,14 +178,14 @@ def _validate(spec: ObjectSpec, frames: int) -> list[JointSpec]:
 
 
 def _part_pose_sequences(joints, frames: int):
-    """Per-part pose per frame and per-child configuration array, for
-    ``joints`` in parent-first order."""
+    """Per-part stack of poses, one per frame, and per-child configuration
+    array, for ``joints`` in parent-first order."""
     s = np.arange(frames) / max(frames - 1, 1)
-    poses = {0: [Pose.identity()] * frames}
+    poses = {0: Pose.stack([Pose.identity()] * frames)}
     q_of_child = {}
     for j in joints:
         qs = q_of_child[j.child] = j.profile.value(s)
-        poses[j.child] = [compose(poses[j.parent][f], j.transform(qs[f])) for f in range(frames)]
+        poses[j.child] = compose(poses[j.parent], j.transform(qs))
     return poses, q_of_child
 
 
@@ -234,18 +236,13 @@ def generate(spec: ObjectSpec, frames: int, seed: int) -> Demonstration:
                 tracks.append((len(tracks), part_idx, c + a * u + b * v, normal, start, stop))
                 start = stop
 
-    # every part's rotations (F, 4) and translations (F, 3)
-    part_qt = {
-        part: (np.array([p.q for p in poses]), np.array([p.t for p in poses]))
-        for part, poses in part_poses.items()
-    }
     noisy = spec.noise_sigma_pos > 0 or spec.noise_sigma_normal > 0 or spec.dropout_prob > 0
     trajectories = []
     labels = {}
     for tid, part_idx, body_pos, body_normal, start, stop in tracks:
-        q, t = (a[start:stop] for a in part_qt[part_idx])
-        pos = quat_rotate(q, body_pos) + t
-        nrm = quat_rotate(q, body_normal)
+        poses = part_poses[part_idx][start:stop]
+        pos = apply_pose(poses, body_pos)
+        nrm = quat_rotate(poses.q, body_normal)
         kept = _add_noise(spec, rng, pos, nrm) if noisy else np.ones(len(pos), dtype=bool)
         if kept.sum() < 2:
             continue

@@ -18,7 +18,8 @@ observation, preceded by a header with schema version and frame rate:
 Records are grouped by trajectory id with strictly increasing frame
 indices inside a group. Ground truth lives in a sidecar ``.gt`` file (see
 ``save_ground_truth``) holding part labels, per-part per-frame poses and
-the true joint specs with their configuration sequences.
+the true joint specs with their configuration sequences; in memory each
+part's poses are one ``Pose`` stack, ``gt.part_poses[part][frame]``.
 
 This module owns the text format of every file the package writes:
 ``fmt_floats`` writes each float with ``repr`` (so the round trip is
@@ -126,7 +127,7 @@ class GroundTruth:
     """Synthetic stand-in for marker-based ground truth."""
 
     labels: dict[int, int]  # trajectory id -> part id
-    part_poses: dict[int, list[Pose]]  # part id -> pose per frame
+    part_poses: dict[int, Pose]  # part id -> stack of poses, one per frame
     joints: list[GroundTruthJoint]
 
     def parts(self) -> list[int]:
@@ -138,15 +139,6 @@ class GroundTruth:
                 raise ValueError(f"trajectory {tid} has no part label")
             if self.labels[tid] not in self.part_poses:
                 raise ValueError(f"trajectory {tid} labeled with unknown part")
-
-    def __eq__(self, other):
-        if not isinstance(other, GroundTruth):
-            return NotImplemented
-        if self.labels != other.labels or self.joints != other.joints:
-            return False
-        if set(self.part_poses) != set(other.part_poses):
-            return False
-        return all(self.part_poses[p] == other.part_poses[p] for p in self.part_poses)
 
 
 @dataclass
@@ -313,7 +305,7 @@ def load(path: str) -> Demonstration:
 
 def load_ground_truth(path: str) -> GroundTruth:
     labels: dict[int, int] = {}
-    poses: dict[int, dict[int, Pose]] = {}
+    poses: dict[int, dict[int, list[float]]] = {}  # part -> frame -> q then t
     joints: dict[tuple[int, int], dict] = {}
     configs: dict[tuple[int, int], dict[int, float]] = {}
 
@@ -326,7 +318,7 @@ def load_ground_truth(path: str) -> GroundTruth:
             vals = [float(v) for v in parts[3:]]
             if len(vals) != 7:
                 raise ValueError("pose record needs 7 floats")
-            poses.setdefault(part, {})[frame] = Pose(np.array(vals[:4]), np.array(vals[4:]))
+            poses.setdefault(part, {})[frame] = vals
         elif tag == "joint":
             key = (int(parts[1]), int(parts[2]))
             kind = parts[3]
@@ -346,12 +338,13 @@ def load_ground_truth(path: str) -> GroundTruth:
 
     read_records(path, "gt", GT_SCHEMA, record)
 
-    part_poses: dict[int, list[Pose]] = {}
+    part_poses: dict[int, Pose] = {}
     for part, by_frame in poses.items():
         n = 1 + max(by_frame)
         if sorted(by_frame) != list(range(n)):
             raise ParseError(f"part {part}: pose frames not contiguous from 0")
-        part_poses[part] = [by_frame[f] for f in range(n)]
+        rows = np.array([by_frame[f] for f in range(n)])
+        part_poses[part] = Pose(rows[:, :4], rows[:, 4:])
 
     gt_joints = []
     for key, info in joints.items():

@@ -293,6 +293,15 @@ class TestPredict:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("sweep", ["0:1e300:1e-300", "0:1e11:1e-6"])
+    def test_oversized_sweep_exits_2(self, door_files, sweep):
+        # the row count overflows an integer, or no memory could hold the rows
+        _, db, _ = door_files
+        code, out, err = run(["predict", db, "--object", "door", "--sweep", sweep])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: sweep {sweep!r} has too many rows\n"
+
 
 class TestEval:
     def test_success_line(self, door_files):

@@ -403,6 +403,36 @@ class TestPoseStacks:
         renormalized = Pose(np.array([p.q for p in ps]), np.array([p.t for p in ps]))
         assert not np.array_equal(renormalized.q, stacked.q)
 
+    def test_getitem_returns_the_stored_bytes(self):
+        # all 200 poses, some of which a second normalization would move
+        ps = self.poses()
+        stacked = Pose.stack(ps)
+        for k, want in enumerate(ps):
+            got = stacked[k]
+            assert got.q.tobytes() == want.q.tobytes() and got.t.tobytes() == want.t.tobytes()
+        order = np.random.default_rng(1).permutation(len(ps))
+        for k, items in ((slice(None), ps), (slice(150, 2, -3), ps[150:2:-3]),
+                         (order, [ps[i] for i in order])):
+            got = stacked[k]
+            assert got.q.tobytes() == np.array([p.q for p in items]).tobytes()
+            assert got.t.tobytes() == np.array([p.t for p in items]).tobytes()
+        assert stacked[-1] == ps[-1]
+        with pytest.raises(IndexError):
+            stacked[len(ps)]
+
+    def test_iterating_a_stack_yields_its_poses(self):
+        ps = self.poses(n=15)
+        assert list(Pose.stack(ps)) == ps
+
+    def test_stack_of_empty_list_and_of_generator(self):
+        empty = Pose.stack([])
+        assert empty.q.shape == (0, 4) and empty.t.shape == (0, 3)
+        assert list(empty) == []
+        ps = self.poses(n=120)
+        from_generator = Pose.stack(p for p in ps)
+        assert from_generator == Pose.stack(ps)
+        assert from_generator.q.shape == (120, 4)
+
     def test_operations_match_one_pose_at_a_time(self):
         ps, qs = self.poses(), self.poses(seed=6)
         a, b = Pose.stack(ps), Pose.stack(qs)

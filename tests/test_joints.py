@@ -35,7 +35,7 @@ from kinlearn.segmentation import cluster, similarity_matrix
 def make_seq(deltas, frames=None, pair=(1, 0)):
     if frames is None:
         frames = tuple(range(len(deltas)))
-    return RelativePoseSequence(pair, tuple(frames), tuple(deltas))
+    return RelativePoseSequence(pair, tuple(frames), Pose.stack(deltas))
 
 
 def conjugate(pose, g):
@@ -89,6 +89,13 @@ class TestFitRigid:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             make_seq([])
+
+    def test_frames_and_deltas_of_unequal_length(self):
+        d = Pose.from_rotvec([0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+        with pytest.raises(ValueError):
+            make_seq([d] * 10, frames=range(9))
+        with pytest.raises(ValueError):
+            RelativePoseSequence((1, 0), (0,), d)  # one pose, not a stack
 
 
 class TestFitPrismatic:

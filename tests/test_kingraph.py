@@ -483,7 +483,7 @@ class TestEvaluate:
                                     for f in rng.permutation(n).tolist()})
             for p in (0, 1)
         ]
-        gt = GroundTruth({10: 0, 11: 1}, truth, [])
+        gt = GroundTruth({10: 0, 11: 1}, {p: Pose.stack(truth[p]) for p in truth}, [])
         rigid = JointModel("rigid", {"rotation": np.array([1.0, 0.0, 0.0, 0.0]),
                                      "translation": np.zeros(3)}, 6, 0.0, 0.0, np.array([]))
         graph = KinematicGraph("x", (0, 1), ((0, 1, rigid),))

@@ -5,10 +5,18 @@ import pytest
 
 from kinlearn import synth, trajectories
 from kinlearn.errors import InvalidSpec, ParseError, SchemaVersionMismatch
-from kinlearn.geometry import apply_pose, quat_from_rotvec, quat_rotate
+from kinlearn.geometry import Pose, apply_pose, compose, quat_from_rotvec, quat_rotate
 from kinlearn.synth import JointSpec, MotionProfile, ObjectSpec, PartSpec
 from kinlearn.kingraph import load_db
-from kinlearn.trajectories import FeatureTrajectory, load, load_ground_truth, save
+from kinlearn.trajectories import (
+    PRISMATIC,
+    REVOLUTE,
+    RIGID,
+    FeatureTrajectory,
+    load,
+    load_ground_truth,
+    save,
+)
 
 
 def single_part_spec(**kw):
@@ -132,6 +140,53 @@ class TestGenerator:
         assert a.ground_truth.labels == b.ground_truth.labels
         assert a.ground_truth.part_poses == b.ground_truth.part_poses
         assert a.ground_truth.joints == b.ground_truth.joints[::-1]
+
+
+def reference_part_poses(joints, frames):
+    """``synth._part_pose_sequences``'s poses made one frame at a time with
+    ``compose``: {part: [pose per frame]}."""
+    s = np.arange(frames) / max(frames - 1, 1)
+    poses = {0: [Pose.identity()] * frames}
+    for j in joints:
+        steps = []
+        for q in j.profile.value(s):
+            if j.kind == REVOLUTE:
+                steps.append(Pose.rot_about_line(j.axis, j.origin, q))
+            elif j.kind == PRISMATIC:
+                steps.append(Pose(t=q * np.asarray(j.axis, dtype=float)))
+            else:
+                steps.append(Pose.identity())
+        poses[j.child] = [compose(poses[j.parent][f], steps[f]) for f in range(frames)]
+    return poses
+
+
+RIGID_THEN_HINGE = ObjectSpec(
+    name="bracketed-door",
+    parts=(
+        PartSpec(center=(-0.5, 0.0, 1.0), u=(0.2, 0.0, 0.0), v=(0.0, 0.0, 0.35)),
+        PartSpec(center=(0.0, 0.1, 1.0), u=(0.05, 0.0, 0.0), v=(0.0, 0.0, 0.2)),
+        PartSpec(center=(0.5, 0.0, 1.0), u=(0.3, 0.0, 0.0), v=(0.0, 0.0, 0.35)),
+    ),
+    joints=(
+        JointSpec(0, 1, RIGID),
+        JointSpec(1, 2, REVOLUTE, axis=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
+                  profile=MotionProfile("smoothstep", np.deg2rad(90.0))),
+    ),
+)
+
+
+@pytest.mark.parametrize("spec", [
+    synth.default_specs()["monitor"], synth.default_specs()["drawer"], RIGID_THEN_HINGE,
+], ids=["monitor", "drawer", "rigid"])
+def test_stacked_part_poses_match_per_frame_compose(spec):
+    frames = 37
+    joints = synth._validate(spec, frames)
+    stacked, _ = synth._part_pose_sequences(joints, frames)
+    reference = reference_part_poses(joints, frames)
+    assert sorted(stacked) == sorted(reference) == list(range(len(spec.parts)))
+    for part, poses in reference.items():
+        assert np.array_equal(stacked[part].q, np.array([p.q for p in poses]))
+        assert np.array_equal(stacked[part].t, np.array([p.t for p in poses]))
 
 
 def reference_generate(spec, frames, seed):

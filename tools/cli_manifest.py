@@ -188,6 +188,8 @@ def error_commands():
         ["predict", "twice.db", *door, "--sweep", "0:1:0.5"],
         ["predict", "door-clean.db", *door, "--sweep", "0:inf:1"],
         ["predict", "door-clean.db", *door, "--sweep", "0:1:inf"],
+        ["predict", "door-clean.db", *door, "--sweep", "0:1e300:1e-300"],
+        ["predict", "door-clean.db", *door, "--sweep", "0:1e11:1e-6"],
         ["predict", "door-clean.db", *door, "--schedule", "sched-nan.txt"],
         ["predict", "door-clean.db", *door, "--schedule", "sched-inf.txt"],
         ["predict", "rigid.db", "--object", "box", "-o", "rigid.csv"],
