@@ -89,9 +89,9 @@ def _noise_model(args) -> NoiseModel:
 
 def _dump_similarity(matrix, path: str) -> None:
     lines = ["id," + ",".join(str(i) for i in matrix.ids)]
-    for i, tid in enumerate(matrix.ids):
-        row = ",".join("" if np.isnan(v) else fmt_floats((v,)) for v in matrix.values[i])
-        lines.append(f"{tid},{row}")
+    for tid, row in zip(matrix.ids, matrix.values):
+        # the only "nan" in a row of repr floats is an Undefined field: blank it
+        lines.append(f"{tid},{fmt_floats(row, ',').replace('nan', '')}")
     write_lines(path, lines)
 
 

@@ -105,6 +105,11 @@ class JointModel:
 
     ``bics`` maps each candidate kind to its BIC when the model won
     :func:`select_model`; it is empty otherwise and is not persisted.
+
+    ``degenerate`` is informational. A fit sets it when its motion is too
+    small to resolve: a prismatic spread under 1 mm, a revolute span under
+    5 degrees, or a fitted circle noisier than its radius. The ``.db``
+    saves and loads it, but :func:`select_model` never consults it.
     """
 
     kind: str

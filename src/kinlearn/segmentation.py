@@ -10,8 +10,16 @@ computed once with the positional distance d = ||p_i - p_j|| (bandwidth
 d = 1 - n_i . n_j (bandwidth ``gamma_normal``, default 1/cos 15deg); the
 two scores are combined multiplicatively, so both cues must agree for a
 pair to look rigidly attached. Pairs overlapping fewer than
-``min_overlap`` frames are Undefined (NaN in the matrix) and never
-connect.
+``min_overlap`` frames (at least 2) are Undefined (NaN in the matrix) and
+never connect.
+
+``similarity_matrix`` takes the pairs of ``np.triu_indices`` in blocks of
+at most ``_BLOCK`` pair x frame entries, which bounds its temporaries.
+Inside a block it groups the pairs by overlap length T, gathers each
+group's common frames in frame order as a (pairs, T, 3) stack and
+evaluates the kernel once per group, reducing along the last axis as the
+one-pair code does; so every entry is bitwise the kernel of that pair
+alone. ``pair_similarity`` stays the two-row form of the matrix.
 
 Clustering runs DBSCAN over the distance 1 - L with a deterministic
 visitation order (ascending trajectory id); a point's neighborhood
@@ -43,6 +51,10 @@ DEFAULT_MIN_PTS = 5
 DEFAULT_GAMMA_POS = 50.0  # 1 / (2 cm)
 DEFAULT_GAMMA_NORMAL = 1.0 / np.cos(np.deg2rad(15.0))
 
+# Pair x frame entries gathered at once by similarity_matrix: bounds its
+# temporaries to a few MB however many tracks a demonstration has.
+_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SimilarityParams:
@@ -56,6 +68,8 @@ class SimilarityParams:
             raise ValueError("bandwidths must be positive")
         if self.combine not in ("product", "positional", "normal"):
             raise ValueError(f"unknown combine rule {self.combine!r}")
+        if self.min_overlap < 2:
+            raise ValueError("min_overlap must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -77,29 +91,38 @@ def similarity_matrix(
     """
     params = params or SimilarityParams()
     ids, pos, nrm, valid = demo.packed()
-    n = len(ids)
+    n, n_frames = valid.shape
 
     use_pos = params.combine in ("product", "positional")
     use_nrm = params.combine in ("product", "normal")
     values = np.full((n, n), np.nan)
     np.fill_diagonal(values, 1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            both = valid[i] & valid[j]
-            T = int(both.sum())
-            if T < params.min_overlap:
-                continue
+    rows, cols = np.triu_indices(n, 1)
+    step = max(1, _BLOCK // max(n_frames, 1))
+    for start in range(0, len(rows), step):
+        i, j = rows[start:start + step], cols[start:start + step]
+        both = valid[i] & valid[j]
+        overlap = both.sum(axis=1)
+        for T in np.unique(overlap[overlap >= params.min_overlap]):
+            group = np.flatnonzero(overlap == T)
+            gi, gj = i[group], j[group]
+            a, b = gi[:, None], gj[:, None]
+            frames = np.nonzero(both[group])[1].reshape(len(group), T)
             L = 1.0
             if use_pos:
-                d = np.linalg.norm(pos[i, both] - pos[j, both], axis=1)
-                dev = d - d.mean()
-                L *= float(np.mean(np.exp(-params.gamma_pos * dev**2)))
+                d = np.linalg.norm(pos[a, frames] - pos[b, frames], axis=-1)
+                L = L * _kernel(d, params.gamma_pos)
             if use_nrm:
-                d = 1.0 - np.sum(nrm[i, both] * nrm[j, both], axis=1)
-                dev = d - d.mean()
-                L *= float(np.mean(np.exp(-params.gamma_normal * dev**2)))
-            values[i, j] = values[j, i] = L
+                d = 1.0 - np.sum(nrm[a, frames] * nrm[b, frames], axis=-1)
+                L = L * _kernel(d, params.gamma_normal)
+            values[gi, gj] = values[gj, gi] = L
     return SimilarityMatrix(tuple(ids.tolist()), values)
+
+
+def _kernel(d: np.ndarray, gamma: float) -> np.ndarray:
+    """The kernel of every row of ``d`` (pairs x common frames)."""
+    dev = d - d.mean(axis=-1, keepdims=True)
+    return np.mean(np.exp(-gamma * dev**2), axis=-1)
 
 
 def pair_similarity(

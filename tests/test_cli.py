@@ -8,6 +8,7 @@ import pytest
 from kinlearn import synth, trajectories
 from kinlearn.cli import main
 from kinlearn.kingraph import load_db, predict
+from kinlearn.segmentation import similarity_matrix
 
 
 def run(argv):
@@ -108,6 +109,23 @@ class TestSegment:
         lines = open(p).read().splitlines()
         n = len(lines) - 1
         assert all(len(l.split(",")) == n + 1 for l in lines)
+
+    def test_dump_similarity_reads_back_as_the_matrix(self, tmp_path):
+        # 40 % dropout leaves about a third of the pairs Undefined
+        traj, p = str(tmp_path / "sparse.traj"), str(tmp_path / "sim.csv")
+        run(["generate", "--object", "fridge", "--frames", "30", "--seed", "1",
+             "--dropout", "0.4", "-o", traj])
+        run(["segment", traj, "--dump-similarity", p])
+        lines = open(p).read().splitlines()
+        matrix = similarity_matrix(trajectories.load(traj))
+        assert lines[0] == "id," + ",".join(str(i) for i in matrix.ids)
+        cells = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in cells] == list(matrix.ids)
+        blank = np.array([[f == "" for f in row[1:]] for row in cells])
+        assert blank.sum() > 100
+        assert np.array_equal(blank, np.isnan(matrix.values))
+        read = np.array([[float(f) if f else np.nan for f in row[1:]] for row in cells])
+        assert read.tobytes() == matrix.values.tobytes()
 
     def test_single_part_exits_3(self, tmp_path):
         p = single_part_demo(tmp_path)

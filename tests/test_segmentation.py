@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kinlearn import synth
+from kinlearn import segmentation, synth
 from kinlearn.geometry import Pose, apply_pose, quat_rotate
 from kinlearn.segmentation import (
     NOISE,
@@ -20,6 +23,37 @@ def make_traj(tid, frames, positions, normals=None):
     if normals is None:
         normals = np.tile([0.0, 0.0, 1.0], (len(frames), 1))
     return FeatureTrajectory.from_arrays(tid, frames, positions, normals)
+
+
+def reference_pair_similarity(a, b, params):
+    """The kernel of the module docstring, one pair at a time."""
+    _, ia, ib = np.intersect1d(a.frames, b.frames, return_indices=True)
+    if len(ia) < params.min_overlap:
+        return None
+
+    def kernel(d, gamma):
+        return float(np.mean(np.exp(-gamma * (d - float(np.mean(d))) ** 2)))
+
+    d_pos = np.linalg.norm(a.positions[ia] - b.positions[ib], axis=1)
+    d_nrm = 1.0 - np.sum(a.normals[ia] * b.normals[ib], axis=1)
+    l_pos = kernel(d_pos, params.gamma_pos)
+    l_nrm = kernel(d_nrm, params.gamma_normal)
+    return {"positional": l_pos, "normal": l_nrm, "product": l_pos * l_nrm}[
+        params.combine
+    ]
+
+
+def assert_matches_reference(demo, params):
+    """Every off-diagonal cell equals the one-pair reference bit for bit."""
+    m = similarity_matrix(demo, params)
+    trajs = sorted(demo.trajectories, key=lambda t: t.id)
+    for i in range(len(trajs)):
+        for j in range(i + 1, len(trajs)):
+            expected = reference_pair_similarity(trajs[i], trajs[j], params)
+            if expected is None:
+                assert np.isnan(m.values[i, j]) and np.isnan(m.values[j, i])
+            else:
+                assert m.values[i, j] == expected and m.values[j, i] == expected
 
 
 def brute_force_dbscan(dist, eps, min_pts):
@@ -79,6 +113,12 @@ class TestPairSimilarity:
         params = SimilarityParams(min_overlap=2, combine="positional")
         L = pair_similarity(a, b, params)
         assert abs(L - np.exp(-0.02)) < 1e-12
+
+    @pytest.mark.parametrize("min_overlap", [0, 1])
+    def test_min_overlap_below_two_rejected(self, min_overlap):
+        # an overlap of 0 frames has no mean, and one frame always scores 1.0
+        with pytest.raises(ValueError, match="min_overlap"):
+            SimilarityParams(min_overlap=min_overlap)
 
     def test_short_overlap_undefined(self):
         a = make_traj(0, range(5), np.zeros((5, 3)))
@@ -157,23 +197,6 @@ class TestSimilarityMatrix:
     def test_matches_pairwise(self):
         from kinlearn.trajectories import Demonstration
 
-        def reference_pair_similarity(a, b, params):
-            """The kernel of the module docstring, one pair at a time."""
-            _, ia, ib = np.intersect1d(a.frames, b.frames, return_indices=True)
-            if len(ia) < params.min_overlap:
-                return None
-
-            def kernel(d, gamma):
-                return float(np.mean(np.exp(-gamma * (d - float(np.mean(d))) ** 2)))
-
-            d_pos = np.linalg.norm(a.positions[ia] - b.positions[ib], axis=1)
-            d_nrm = 1.0 - np.sum(a.normals[ia] * b.normals[ib], axis=1)
-            l_pos = kernel(d_pos, params.gamma_pos)
-            l_nrm = kernel(d_nrm, params.gamma_normal)
-            return {"positional": l_pos, "normal": l_nrm, "product": l_pos * l_nrm}[
-                params.combine
-            ]
-
         door = synth.default_specs()["door"]
         for dropout in (0.0, 0.3):
             spec = door.with_noise(sigma_pos=0.003, sigma_normal=0.05, dropout=dropout)
@@ -182,15 +205,50 @@ class TestSimilarityMatrix:
             trajs = sorted(demo.trajectories, key=lambda t: t.id)
             for combine in ("product", "positional", "normal"):
                 params = SimilarityParams(min_overlap=20, combine=combine)
-                m = similarity_matrix(demo, params)
+                assert_matches_reference(demo, params)
                 for i in range(len(trajs)):
                     for j in range(i + 1, len(trajs)):
                         expected = reference_pair_similarity(trajs[i], trajs[j], params)
                         assert pair_similarity(trajs[i], trajs[j], params) == expected
-                        if expected is None:
-                            assert np.isnan(m.values[i, j])
-                        else:
-                            assert m.values[i, j] == expected
+
+    def test_blocks_match_pairwise(self):
+        # 60 tracks x 40 frames: 1 770 pairs span more than 4 blocks, and
+        # 30 % dropout gives many overlap lengths, some under min_overlap
+        spec = synth.default_specs()["monitor"]
+        spec = spec.with_noise(sigma_pos=0.003, sigma_normal=0.05, dropout=0.3)
+        demo = synth.generate(spec, frames=40, seed=4)
+        _, _, _, valid = demo.packed()
+        n, n_frames = valid.shape
+        assert n * (n - 1) // 2 * n_frames > 4 * segmentation._BLOCK
+        overlap = (valid[:, None] & valid[None]).sum(axis=-1)[np.triu_indices(n, 1)]
+        assert len(np.unique(overlap[overlap >= 20])) > 5
+        assert (overlap < 20).any()
+        for combine in ("product", "positional", "normal"):
+            assert_matches_reference(demo, SimilarityParams(min_overlap=20, combine=combine))
+
+    def test_zero_and_one_trajectories(self):
+        from kinlearn.trajectories import Demonstration
+
+        m = similarity_matrix(Demonstration([]))
+        assert m.ids == () and m.values.shape == (0, 0)
+        a = make_traj(3, range(12), np.zeros((12, 3)))
+        m = similarity_matrix(Demonstration([a]))
+        assert m.ids == (3,) and m.values.tolist() == [[1.0]]
+
+    def test_peak_memory_is_bounded(self):
+        # the 120-track dense monitor: measured peak 1.9 MB; gathering all
+        # 7 140 pairs at once peaks at 18 MB
+        spec = replace(synth.default_specs()["monitor"], features_per_part=40)
+        demo = synth.generate(spec.with_noise(sigma_pos=0.002), frames=30, seed=0)
+        assert len(demo.trajectories) == 120
+        similarity_matrix(demo)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            similarity_matrix(demo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_noise_free_door_margins(self):
         spec = synth.default_specs()["door"]

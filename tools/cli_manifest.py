@@ -6,6 +6,7 @@ stderr) and one line per file left in the directory (name, sha256). The
 matrix covers every catalog object, clean, noisy and rough, through generate,
 segment, learn --dump-similarity, predict (a short sweep and a 401-row one
 that runs from negative configurations past the observed range) and eval,
+a fridge at 40 % dropout through segment and learn --dump-similarity,
 plus the error paths of every subcommand.
 
 The commands run in-process through ``kinlearn.cli.main``, taken from
@@ -89,6 +90,16 @@ def pipeline_commands():
                 ["eval", db, traj, "--object", obj, "--seed", SEED,
                  "--format", "csv", "-o", f"{stem}.eval.csv"],
             ]
+    # heavy dropout: many Undefined (NaN) similarity cells and many overlap
+    # lengths, so both dumps cover the kernel's grouping and the blank fields
+    traj = "fridge-sparse.traj"
+    cmds += [
+        ["generate", "--object", "fridge", "--frames", FRAMES, "--seed", SEED,
+         "--dropout", "0.4", "-o", traj],
+        ["segment", traj, "--dump-similarity", "fridge-sparse.seg-sim.csv"],
+        ["learn", traj, "--object", "fridge", "--seed", SEED,
+         "--dump-similarity", "fridge-sparse.sim.csv", "-o", "fridge-sparse.db"],
+    ]
     return cmds
 
 
