@@ -193,10 +193,9 @@ def cmd_learn(args, stdout, stderr) -> int:
     poses_path = args.poses or args.output + ".poses.csv"
     lines = ["cluster,frame,qw,qx,qy,qz,tx,ty,tz,inliers"]
     for seq in seqs:
-        for frame in sorted(seq.poses):
-            p = seq.poses[frame]
+        for frame, q, t in zip(seq.poses.frames.tolist(), seq.poses.stack.q, seq.poses.stack.t):
             lines.append(
-                f"{seq.cluster_id},{frame},{fmt_floats((*p.q, *p.t), ',')},"
+                f"{seq.cluster_id},{frame},{fmt_floats((*q, *t), ',')},"
                 f"{seq.inlier_counts.get(frame, 0)}"
             )
     write_lines(poses_path, lines)
@@ -319,21 +318,36 @@ def cmd_eval(args, stdout, stderr) -> int:
 # argument parsing
 
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` above 0; anything else is a usage
+    error, which exits 2 before any file is read."""
+    def parse(text):
+        value = kind(text)
+        if not (np.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # unparseable text still reads "invalid float value"
+    return parse
+
+
 def _add_segmentation_flags(p):
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS, dest="min_pts")
-    p.add_argument("--gamma-pos", type=float, default=DEFAULT_GAMMA_POS, dest="gamma_pos")
-    p.add_argument("--gamma-normal", type=float, default=DEFAULT_GAMMA_NORMAL,
+    p.add_argument("--gamma-pos", type=_positive(float), default=DEFAULT_GAMMA_POS,
+                   dest="gamma_pos")
+    p.add_argument("--gamma-normal", type=_positive(float), default=DEFAULT_GAMMA_NORMAL,
                    dest="gamma_normal")
 
 
 def _add_learning_flags(p):
-    p.add_argument("--inlier-thresh", type=float, default=DEFAULT_INLIER_THRESHOLD,
-                   dest="inlier_thresh")
-    p.add_argument("--sparse-stride", type=int, default=DEFAULT_SPARSE_STRIDE,
+    p.add_argument("--inlier-thresh", type=_positive(float),
+                   default=DEFAULT_INLIER_THRESHOLD, dest="inlier_thresh")
+    p.add_argument("--sparse-stride", type=_positive(int), default=DEFAULT_SPARSE_STRIDE,
                    dest="sparse_stride")
-    p.add_argument("--sigma-pos", type=float, default=DEFAULT_SIGMA_POS, dest="sigma_pos")
-    p.add_argument("--sigma-rot", type=float, default=DEFAULT_SIGMA_ROT, dest="sigma_rot")
+    p.add_argument("--sigma-pos", type=_positive(float), default=DEFAULT_SIGMA_POS,
+                   dest="sigma_pos")
+    p.add_argument("--sigma-rot", type=_positive(float), default=DEFAULT_SIGMA_ROT,
+                   dest="sigma_rot")
 
 
 @functools.cache  # a parser per call would leave reference cycles for the cyclic collector

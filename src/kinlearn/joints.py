@@ -73,15 +73,15 @@ class RelativePoseSequence:
 
 def relative_pose_sequence(seq_i, seq_j) -> RelativePoseSequence:
     """Relative poses of cluster i with respect to cluster j, one stack over
-    the frames where both ``poses`` dicts (frame -> Pose) have estimates."""
-    common = sorted(set(seq_i.poses) & set(seq_j.poses))
-    if not common:
+    the frames both have: the common entries of both ``poses.frames`` arrays."""
+    common, ki, kj = np.intersect1d(seq_i.poses.frames, seq_j.poses.frames, return_indices=True)
+    if not len(common):
         raise EmptyInput(
             f"clusters {seq_i.cluster_id} and {seq_j.cluster_id} share no frames"
         )
-    poses_i, poses_j = (Pose.stack(s.poses[f] for f in common) for s in (seq_i, seq_j))
+    deltas = relative(seq_i.poses.stack[ki], seq_j.poses.stack[kj])
     pair = (seq_i.cluster_id, seq_j.cluster_id)
-    return RelativePoseSequence(pair, tuple(common), relative(poses_i, poses_j))
+    return RelativePoseSequence(pair, tuple(common.tolist()), deltas)
 
 
 @dataclass(frozen=True)

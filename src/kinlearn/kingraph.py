@@ -107,8 +107,7 @@ def build_graph(pose_seqs, noise: NoiseModel | None = None, object_id: str = "")
     for i in range(len(seqs)):
         for j in range(i + 1, len(seqs)):
             a, b = seqs[i], seqs[j]
-            common = set(a.poses) & set(b.poses)
-            if len(common) < 3:
+            if len(np.intersect1d(a.poses.frames, b.poses.frames)) < 3:
                 continue
             rel = relative_pose_sequence(b, a)
             model = select_model(rel, noise)
@@ -410,8 +409,8 @@ def evaluate(
     for cid, seq in by_cluster.items():
         part = part_of_cluster[cid]
         truth = ground_truth.part_poses[part]
-        true = compose(truth[list(seq.poses)], inverse(truth[seq.first_frame()]))
-        m, rad = pose_residual(Pose.stack(seq.poses.values()), true)
+        true = compose(truth[seq.poses.frames], inverse(truth[seq.first_frame()]))
+        m, rad = pose_residual(seq.poses.stack, true)
         # squared per frame with Python floats, as numpy's square can differ
         # from float ** 2 in the last bit
         sq_pos = [v ** 2 for v in m.tolist()]

@@ -7,6 +7,8 @@ seeded minimal-sample fallback), assembly of relative-pose constraints
 constant-velocity regularizers), and batch Gauss-Newton smoothing over
 the pose chain. The first observed frame is gauge-fixed to the identity,
 so every pose maps first-frame world coordinates to the current frame.
+A cluster's poses are one ``Pose`` stack over a sorted frame array, read by
+frame through ``ClusterPoseSequence.poses``, a read-only ``FramePoses`` view.
 
 The work is batched per cluster, with outputs bitwise those of the
 one-at-a-time forms:
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +53,7 @@ from .trajectories import Demonstration
 __all__ = [
     "ClusterFrameSet",
     "PoseConstraint",
+    "FramePoses",
     "ClusterPoseSequence",
     "estimate_delta",
     "build_constraints",
@@ -104,18 +108,42 @@ class PoseConstraint:
             raise ValueError("constraint weight must be >= 0")
 
 
+class FramePoses(Mapping):
+    """Read-only frame -> ``Pose`` view: row k of ``stack`` is the pose at
+    ``frames[k]`` (sorted, read-only), and ``index`` maps frame -> row."""
+
+    def __init__(self, frames, stack: Pose):
+        self.frames, self.stack = np.asarray(frames, dtype=np.int64), stack
+        self.frames.flags.writeable = False
+        self.index = {f: k for k, f in enumerate(self.frames.tolist())}
+
+    def __getitem__(self, frame) -> Pose:
+        return self.stack[self.index[frame]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self):
+        return len(self.index)
+
+
 @dataclass
 class ClusterPoseSequence:
-    """Smoothed pose per observed frame; first observed frame = identity."""
+    """Smoothed pose per observed frame, first = identity; a ``poses`` dict is stacked once."""
 
     cluster_id: int
-    poses: dict[int, Pose]
+    poses: Mapping[int, Pose]
     inlier_counts: dict[int, int] = field(default_factory=dict)
     converged: bool = True
     iterations: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.poses, FramePoses):
+            frames = sorted(self.poses)
+            self.poses = FramePoses(frames, Pose.stack(self.poses[f] for f in frames))
+
     def first_frame(self) -> int:
-        return min(self.poses)
+        return int(self.poses.frames[0])
 
 
 @functools.lru_cache(maxsize=256)
@@ -394,17 +422,13 @@ def optimize(
     cost never exceeds the initial one; failure to meet the relative
     tolerance within 50 iterations sets ``converged = False``.
     """
-    frames = sorted(initial.poses)
-    index = {f: i for i, f in enumerate(frames)}
-    n = len(frames)
-    Q = np.array([initial.poses[f].q for f in frames])
-    T = np.array([initial.poses[f].t for f in frames])
+    index = initial.poses.index
+    n = len(index)
+    Q, T = initial.poses.stack.q, initial.poses.stack.t
 
     usable = [c for c in constraints if all(f in index for f in c.frames)]
     if not usable or n < 2:
-        return ClusterPoseSequence(
-            initial.cluster_id, dict(initial.poses), dict(initial.inlier_counts)
-        )
+        return ClusterPoseSequence(initial.cluster_id, initial.poses, dict(initial.inlier_counts))
     groups = _residual_groups(usable, index)
 
     r = _weighted_residuals(groups, Q, T)
@@ -455,10 +479,9 @@ def optimize(
             RuntimeWarning,
         )
     Q, T, _ = best
-    poses = {f: Pose(Q[i], T[i]) for i, f in enumerate(frames)}
-    return ClusterPoseSequence(
-        initial.cluster_id, poses, dict(initial.inlier_counts), converged, iterations
-    )
+    poses = FramePoses(initial.poses.frames, Pose(Q, T))
+    return ClusterPoseSequence(initial.cluster_id, poses, dict(initial.inlier_counts),
+                               converged, iterations)
 
 
 def estimate_cluster_poses(
@@ -490,23 +513,11 @@ def estimate_cluster_poses(
         constraints = build_constraints(sets, inlier_threshold, sparse_stride, seed)
         consec = {c.frames[1]: c for c in constraints if c.kind == CONSECUTIVE}
 
-        poses: dict[int, Pose] = {}
-        counts: dict[int, int] = {}
-        prev = None
-        for s in sets:
-            if prev is None:
-                poses[s.frame] = Pose.identity()
-                counts[s.frame] = len(s.ids)
-            else:
-                c = consec.get(s.frame)
-                if c is not None and c.frames[0] == prev.frame:
-                    poses[s.frame] = compose(c.delta, poses[prev.frame])
-                    counts[s.frame] = int(c.weight)
-                else:
-                    # gap or failed delta: hold the previous pose
-                    poses[s.frame] = poses[prev.frame]
-                    counts[s.frame] = 0
-            prev = s
-        initial = ClusterPoseSequence(cid, poses, counts)
-        results.append(optimize(constraints, initial))
+        chain, counts = [Pose.identity()], {sets[0].frame: len(sets[0].ids)}
+        for s in sets[1:]:  # a gap or a failed delta leaves no constraint: hold the pose
+            c = consec.get(s.frame)
+            chain.append(chain[-1] if c is None else compose(c.delta, chain[-1]))
+            counts[s.frame] = 0 if c is None else int(c.weight)
+        poses = FramePoses([s.frame for s in sets], Pose.stack(chain))
+        results.append(optimize(constraints, ClusterPoseSequence(cid, poses, counts)))
     return results

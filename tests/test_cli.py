@@ -445,3 +445,29 @@ class TestErrors:
         assert code == 2 and out == ""
         # the second copy starts right after the first one's last line
         assert err == f"error: line {len(lines) + 1}: object 'door' stored twice\n"
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("learn", "--sigma-pos", "0"),
+        ("eval", "--sigma-rot", "-1"),
+        ("learn", "--gamma-pos", "0"),
+        ("segment", "--gamma-normal", "0"),
+        ("eval", "--gamma-normal", "-2"),
+        ("learn", "--inlier-thresh", "-1"),
+        ("eval", "--inlier-thresh", "nan"),
+        ("learn", "--sparse-stride", "0"),
+        ("eval", "--sparse-stride", "-3"),
+        ("learn", "--sigma-pos", "inf"),
+    ])
+    def test_bad_threshold_flag_is_usage_error(self, door_files, tmp_path, capsys,
+                                               command, flag, value):
+        traj, db, _ = door_files
+        out = tmp_path / "out"
+        args = {"segment": [traj],
+                "learn": [traj, "--object", "door", "-o", str(out)],
+                "eval": [db, traj, "--object", "door"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *args, f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be positive and finite, got {value!r}" in err
+        assert not out.exists()

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kinlearn import synth
-from kinlearn.errors import DegenerateGeometry, InsufficientCorrespondences
+from kinlearn.errors import DegenerateGeometry, EmptyInput, InsufficientCorrespondences
 from kinlearn.geometry import (
     Pose,
     align_point_sets,
@@ -13,8 +15,10 @@ from kinlearn.geometry import (
     quat_from_rotvec,
     quat_mul,
     quat_rotate,
+    relative,
     rotation_angle,
 )
+from kinlearn.joints import relative_pose_sequence
 from kinlearn.posegraph import (
     CONSECUTIVE,
     SPARSE,
@@ -36,7 +40,7 @@ from kinlearn.posegraph import (
     estimate_delta,
     optimize,
 )
-from kinlearn.segmentation import cluster, similarity_matrix
+from kinlearn.segmentation import ClusterAssignment, cluster, similarity_matrix
 from kinlearn.synth import JointSpec, MotionProfile, ObjectSpec, PartSpec
 from kinlearn.trajectories import Demonstration, FeatureTrajectory
 
@@ -639,3 +643,91 @@ class TestEstimateClusterPoses:
         with pytest.warns(RuntimeWarning, match="dropped"):
             seqs = estimate_cluster_poses(demo, ClusterAssignment(labels))
         assert [s.cluster_id for s in seqs] == [0]
+
+
+def random_pose_dict(rng, frames):
+    """frame -> random Pose, keys in the order given."""
+    return {f: Pose.from_rotvec(rng.normal(0, 0.5, 3), rng.normal(0, 0.2, 3))
+            for f in frames}
+
+
+class TestFrameLayout:
+    """A cluster's poses are one frame array plus one Pose stack, read by
+    frame through the read-only ``poses`` view."""
+
+    @pytest.fixture(scope="class")
+    def gappy_seqs(self):
+        # 6 features per part, half of them lost per frame: many frames show
+        # fewer than 3 members, so each cluster's frames have gaps
+        spec = dataclasses.replace(synth.default_specs()["door"], features_per_part=6)
+        demo = synth.generate(spec.with_noise(dropout=0.5), frames=60, seed=3)
+        assignment = ClusterAssignment(dict(demo.ground_truth.labels))
+        return estimate_cluster_poses(demo, assignment)
+
+    def test_frames_increase_and_view_reads_stack_rows(self, gappy_seqs):
+        assert len(gappy_seqs) == 2
+        assert any(np.any(np.diff(seq.poses.frames) > 1) for seq in gappy_seqs)
+        for seq in gappy_seqs:
+            frames, stack = seq.poses.frames, seq.poses.stack
+            assert frames.dtype == np.int64 and not frames.flags.writeable
+            assert np.all(np.diff(frames) > 0)
+            assert stack.q.shape == (len(frames), 4) and stack.t.shape == (len(frames), 3)
+            assert list(seq.poses) == frames.tolist() == sorted(seq.inlier_counts)
+            assert seq.first_frame() == frames[0]
+            for k, f in enumerate(frames.tolist()):
+                assert seq.poses[f].q.tobytes() == stack[k].q.tobytes()
+                assert seq.poses[f].t.tobytes() == stack[k].t.tobytes()
+
+    def test_unobserved_frame_and_assignment_fail(self, gappy_seqs):
+        seq = next(s for s in gappy_seqs if np.any(np.diff(s.poses.frames) > 1))
+        frames = seq.poses.frames.tolist()
+        gap = next(a + 1 for a, b in zip(frames, frames[1:]) if b - a > 1)
+        for f in (gap, frames[-1] + 1, -1):
+            assert f not in seq.poses
+            with pytest.raises(KeyError):
+                seq.poses[f]
+        for f in (gap, frames[0]):
+            with pytest.raises(TypeError):
+                seq.poses[f] = Pose.identity()
+        assert gap not in seq.poses and seq.poses.frames.tolist() == frames
+
+    def test_dict_round_trips_with_same_bytes(self):
+        # 200 poses, as normalizing a stored quaternion again moves the last
+        # bit of a few of them; frames unordered and with gaps
+        rng = np.random.default_rng(21)
+        given = random_pose_dict(rng, rng.choice(1000, size=200, replace=False).tolist())
+        seq = ClusterPoseSequence(0, given)
+        assert seq.poses.frames.tolist() == sorted(given)
+        assert seq.first_frame() == min(given)
+        assert dict(seq.poses) == given
+        for f, pose in given.items():
+            assert seq.poses[f].q.tobytes() == pose.q.tobytes()
+            assert seq.poses[f].t.tobytes() == pose.t.tobytes()
+        again = ClusterPoseSequence(0, dict(seq.poses))
+        assert again.poses.stack.q.tobytes() == seq.poses.stack.q.tobytes()
+        assert again.poses.stack.t.tobytes() == seq.poses.stack.t.tobytes()
+
+    def test_relative_sequence_matches_dict_intersection(self):
+        rng = np.random.default_rng(22)
+        frames_i = [0, 1, 2, 5, 6, 7, 8, 12, 13, 20, 21, 30]
+        frames_j = [1, 2, 3, 4, 6, 8, 9, 12, 14, 20, 30, 31]
+        poses_i = random_pose_dict(rng, frames_i[::-1])
+        poses_j = random_pose_dict(rng, frames_j)
+        seq_i, seq_j = ClusterPoseSequence(4, poses_i), ClusterPoseSequence(7, poses_j)
+        # the dict intersection that relative_pose_sequence used to make
+        common = sorted(set(poses_i) & set(poses_j))
+        ref = relative(Pose.stack(poses_i[f] for f in common),
+                       Pose.stack(poses_j[f] for f in common))
+        rel = relative_pose_sequence(seq_i, seq_j)
+        assert rel.pair == (4, 7)
+        assert rel.frames == tuple(common) == (1, 2, 6, 8, 12, 20, 30)
+        assert all(type(f) is int for f in rel.frames)
+        assert rel.deltas.q.tobytes() == ref.q.tobytes()
+        assert rel.deltas.t.tobytes() == ref.t.tobytes()
+
+    def test_relative_sequence_without_common_frames(self):
+        rng = np.random.default_rng(23)
+        a = ClusterPoseSequence(0, random_pose_dict(rng, [0, 2, 4]))
+        b = ClusterPoseSequence(1, random_pose_dict(rng, [1, 3, 5]))
+        with pytest.raises(EmptyInput):
+            relative_pose_sequence(a, b)

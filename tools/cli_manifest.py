@@ -206,6 +206,15 @@ def error_commands():
         ["predict", "rigid.db", "--object", "box", "-o", "rigid.csv"],
         ["predict", "rigid.db", "--object", "box", "--sweep", "0:0.2:0.1",
          "-o", "rigid.sweep.csv"],
+        # threshold flags that are not positive and finite: usage errors
+        ["segment", "door-clean.traj", "--gamma-pos", "0"],
+        ["learn", "door-clean.traj", *door, "--gamma-normal", "-1", "-o", "flag.db"],
+        ["learn", "door-clean.traj", *door, "--sigma-pos", "0", "-o", "flag.db"],
+        ["eval", "door-clean.db", "door-clean.traj", *door, "--sigma-rot", "-1"],
+        ["learn", "door-clean.traj", *door, "--inlier-thresh", "-1", "-o", "flag.db"],
+        ["learn", "door-clean.traj", *door, "--sparse-stride", "0", "-o", "flag.db"],
+        ["eval", "door-clean.db", "door-clean.traj", *door, "--sparse-stride", "-3"],
+        ["eval", "door-clean.db", "door-clean.traj", *door, "--gamma-pos", "nan"],
     ]
 
 
