@@ -318,21 +318,31 @@ def cmd_eval(args, stdout, stderr) -> int:
 # argument parsing
 
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` above 0; anything else is a usage
-    error, which exits 2 before any file is read."""
+def _checked(kind, ok, rule):
+    """argparse type: a ``kind`` for which ``ok`` holds; anything else is a
+    usage error naming ``rule``, which exits 2 before any file is read."""
     def parse(text):
         value = kind(text)
-        if not (np.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
     parse.__name__ = kind.__name__  # unparseable text still reads "invalid float value"
     return parse
 
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` above 0."""
+    return _checked(kind, lambda v: np.isfinite(v) and v > 0, "positive and finite")
+
+
+def _non_negative(kind):
+    """argparse type: a finite ``kind`` of at least 0."""
+    return _checked(kind, lambda v: np.isfinite(v) and v >= 0, "finite and >= 0")
+
+
 def _add_segmentation_flags(p):
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS, dest="min_pts")
+    p.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS)
+    p.add_argument("--min-pts", type=_positive(int), default=DEFAULT_MIN_PTS, dest="min_pts")
     p.add_argument("--gamma-pos", type=_positive(float), default=DEFAULT_GAMMA_POS,
                    dest="gamma_pos")
     p.add_argument("--gamma-normal", type=_positive(float), default=DEFAULT_GAMMA_NORMAL,

@@ -22,6 +22,15 @@ one-at-a-time forms:
 - ``optimize`` evaluates each residual group once per Jacobian, with
   every (slot, axis) perturbation stacked, and retracts all frames in one
   vectorised step.
+
+The smoothing's normal equations are solved with numpy alone. Every
+factor joins frames at most ``s`` rows of the pose stack apart, ``s``
+being the widest row span of any factor (``sparse_stride`` rows when a
+sparse factor spans no gap, 2 for a velocity factor) capped at ``n - 1``.
+Cut into chunks of ``s`` free frames, ``JᵀJ`` is block tridiagonal with
+6s x 6s blocks: one ``np.bincount`` scatter builds it, another ``Jᵀr``,
+and a block-Thomas sweep solves it with one ``np.linalg.solve`` per chunk,
+O(n·(6s)²) time and O(n·s) memory for n frames.
 """
 
 from __future__ import annotations
@@ -32,8 +41,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import DegenerateGeometry, InsufficientCorrespondences
 from .geometry import (
@@ -384,11 +391,12 @@ def _weighted_residuals(groups, Q, T):
 
 
 def _jacobian(groups, Q, T, r0):
-    """Forward-difference Jacobian of the weighted residuals ``r0`` in the
-    free frames (all but the first); one batched evaluation per group
-    holds every (slot, axis) perturbation."""
-    var = np.arange(len(Q)) - 1  # free-variable slot per frame, -1 for the gauge
-    rows, cols, data = [], [], []
+    """Forward-difference Jacobian of the weighted residuals ``r0``: one
+    (constraints, slots, 6, 6) array of blocks per group, where block
+    [c, slot] holds d(residual c) / d(tangent of that slot's frame), zero
+    where the slot is the gauge (first) frame. One batched evaluation per
+    group holds every (slot, axis) perturbation."""
+    blocks = []
     for g in groups:
         _, _, slots, _, first = g
         k = len(slots)
@@ -399,16 +407,76 @@ def _jacobian(groups, Q, T, r0):
             qs[6 * slot:6 * slot + 6], ts[6 * slot:6 * slot + 6] = _perturbations(q, t)
             moved.append((qs, ts))
         d = (_group_residuals(g, moved) - r0[first:first + len(slots[0])]) / _JACOBIAN_STEP
-        for slot, fidx in enumerate(slots):
-            ci = np.flatnonzero(var[fidx] >= 0)
-            for axis in range(6):
-                rows.append((6 * (first + ci[:, None]) + np.arange(6)).ravel())
-                cols.append(np.repeat(6 * var[fidx[ci]] + axis, 6))
-                data.append(d[6 * slot + axis, ci].ravel())
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(r0) * 6, 6 * (len(Q) - 1)),
-    ).tocsr()
+        b = d.reshape(k, 6, -1, 6).transpose(2, 0, 3, 1).copy()  # (constraint, slot, row, axis)
+        b[np.stack(slots, axis=1) == 0] = 0.0
+        blocks.append(b)
+    return blocks
+
+
+def _chunk_layout(groups, n):
+    """Where the ``JᵀJ`` and ``Jᵀr`` entries of every group land in the
+    chunked normal equations of the ``n - 1`` free frames.
+
+    A chunk is ``s`` consecutive free frames, ``s`` being the widest
+    frame-row span of any constraint capped at ``n - 1``, so a constraint
+    couples at most neighbouring chunks and ``JᵀJ`` is block tridiagonal.
+    It is stored as (chunks, 6s, 18s): each chunk's rows against the
+    columns of the chunk before, its own and the one after. Returns ``s``,
+    the chunk count, the flat ``JᵀJ`` index of every (constraint, slot,
+    slot, axis, axis) product of the groups in order, the flat ``Jᵀr``
+    index of every (constraint, slot, axis), and the padding variables
+    that fill the last chunk.
+    """
+    span = max(int((np.max(g[2], axis=0) - np.min(g[2], axis=0)).max()) for g in groups)
+    s = max(1, min(span, n - 1))
+    m, w = -(-(n - 1) // s), 6 * s
+    axis = np.arange(6)
+    h_index, g_index = [], []
+    for _, _, slots, _, _ in groups:
+        var = np.maximum(np.stack(slots, axis=1) - 1, 0)  # gauge blocks are zero
+        i, j = var[:, :, None, None, None], var[:, None, :, None, None]
+        chunk = i // s
+        row = chunk * w + 6 * (i - chunk * s) + axis[:, None]
+        h_index.append((row * 3 * w + 6 * (j - (chunk - 1) * s) + axis).ravel())
+        g_index.append((6 * var[:, :, None] + axis).ravel())
+    return s, m, np.concatenate(h_index), np.concatenate(g_index), np.arange(6 * (n - 1), m * w)
+
+
+def _normal_equations(layout, blocks, r):
+    """``JᵀJ`` as the (chunks, 6s, 18s) block rows of :func:`_chunk_layout`
+    and ``Jᵀr`` as (chunks, 6s), each from one ``np.bincount`` scatter of
+    the per-constraint block products; padding variables get a unit
+    diagonal."""
+    s, m, h_index, g_index, pad = layout
+    w = 6 * s
+    bt = [b.swapaxes(-1, -2) for b in blocks]
+    rs = np.split(r, np.cumsum([len(b) for b in blocks])[:-1])
+    H = np.bincount(h_index, np.concatenate([(t[:, :, None] @ b[:, None]).ravel()
+                                             for t, b in zip(bt, blocks)]),
+                    minlength=m * w * 3 * w).reshape(m * w, 3 * w)
+    H[pad, w + pad % w] = 1.0
+    g = np.bincount(g_index, np.concatenate([(t @ rc[:, None, :, None]).ravel()
+                                             for t, rc in zip(bt, rs)]), minlength=m * w)
+    return H.reshape(m, w, 3 * w), g.reshape(m, w)
+
+
+def _solve_chunks(H, rhs, lam):
+    """Solution of ``(JᵀJ + lam I) x = rhs`` for the block-tridiagonal
+    ``JᵀJ`` of :func:`_normal_equations`, by a block-Thomas sweep: one
+    ``np.linalg.solve`` per chunk going forward, then matrix-vector
+    back-substitution. Raises ``np.linalg.LinAlgError`` on a singular chunk."""
+    m, w, _ = H.shape
+    L, D, U = H[:, :, :w], H[:, :, w:2 * w] + lam * np.eye(w), H[:, :, 2 * w:]
+    E, c = np.empty((m, w, w)), np.empty((m, w))
+    for k in range(m):
+        Dk, bk = D[k], rhs[k]
+        if k:
+            Dk, bk = Dk - L[k] @ E[k - 1], bk - L[k] @ c[k - 1]
+        x = np.linalg.solve(Dk, np.column_stack([U[k], bk]))
+        E[k], c[k] = x[:, :w], x[:, w]
+    for k in range(m - 2, -1, -1):
+        c[k] -= E[k] @ c[k + 1]
+    return c.ravel()
 
 
 def optimize(
@@ -421,6 +489,17 @@ def optimize(
     initial (identity) value. The best iterate is kept, so the returned
     cost never exceeds the initial one; failure to meet the relative
     tolerance within 50 iterations sets ``converged = False``.
+
+    Each iteration builds ``JᵀJ`` and ``Jᵀr`` from the per-constraint
+    Jacobian blocks, stored as block-tridiagonal chunks of ``s`` frames,
+    ``s`` the widest frame-row span of any usable constraint capped at
+    ``n - 1`` (10 at the default ``sparse_stride``, 2 at stride 1, one
+    dense chunk when a constraint spans every frame). Each Levenberg
+    damping trial ``lam`` solves ``(JᵀJ + lam I) step = -Jᵀr`` by a
+    block-Thomas sweep, O(n·(6s)²) for n frames; a singular chunk or a
+    cost rise raises ``lam`` tenfold, up to 8 trials. A trial whose cost
+    exceeds the current one by no more than the relative tolerance ends
+    the loop as converged: the chain is at its optimum up to rounding.
     """
     index = initial.poses.index
     n = len(index)
@@ -430,6 +509,7 @@ def optimize(
     if not usable or n < 2:
         return ClusterPoseSequence(initial.cluster_id, initial.poses, dict(initial.inlier_counts))
     groups = _residual_groups(usable, index)
+    layout = _chunk_layout(groups, n)
 
     r = _weighted_residuals(groups, Q, T)
     cost = float(np.sum(r**2))
@@ -441,15 +521,12 @@ def optimize(
         if cost < 1e-18:
             converged = True
             break
-        J = _jacobian(groups, Q, T, r)
-        A = (J.T @ J).tocsc()
-        g = J.T @ r.ravel()
+        H, g = _normal_equations(layout, _jacobian(groups, Q, T, r), r)
         accepted = False
         for _ in range(8):
-            H = A + lam * scipy.sparse.identity(A.shape[0], format="csc")
             try:
-                step = scipy.sparse.linalg.spsolve(H, -g)
-            except RuntimeError:
+                step = _solve_chunks(H, -g, lam)[:6 * (n - 1)]
+            except np.linalg.LinAlgError:
                 lam *= 10
                 continue
             step = step.reshape(n - 1, 6)  # the tangent step of every free frame
@@ -461,6 +538,8 @@ def optimize(
             if cn <= cost:
                 accepted = True
                 break
+            if cn - cost <= 1e-8 * max(cost, 1e-12):
+                break  # the step changed the cost by rounding only: at the optimum
             lam *= 10
         if not accepted:
             converged = True  # no descent direction left: local optimum

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,13 +30,16 @@ from kinlearn.posegraph import (
     ClusterFrameSet,
     ClusterPoseSequence,
     PoseConstraint,
+    _chunk_layout,
     _estimate_deltas,
     _group_residuals,
     _jacobian,
+    _normal_equations,
     _pair_residuals,
     _ransac_samples,
     _residual_groups,
     _sample_consensus,
+    _solve_chunks,
     _velocity_residuals,
     _weighted_residuals,
     build_constraints,
@@ -393,6 +400,17 @@ def reference_jacobian(groups, Q, T, r0):
     return J
 
 
+def dense_jacobian(groups, blocks, n):
+    """The per-constraint blocks of ``_jacobian`` scattered into one dense
+    (6 x constraints, 6 x free frames) array."""
+    J = np.zeros((6 * sum(len(b) for b in blocks), 6 * (n - 1)))
+    for (_, _, slots, _, first), b in zip(groups, blocks):
+        for slot, fidx in enumerate(slots):
+            for c in np.flatnonzero(fidx > 0):
+                J[6 * (first + c):6 * (first + c) + 6, 6 * (fidx[c] - 1):6 * fidx[c]] = b[c, slot]
+    return J
+
+
 class TestBatchedJacobian:
     def test_equal_to_per_axis_evaluations(self):
         spec = synth.default_specs()["drawer"].with_noise(sigma_pos=0.01, dropout=0.2)
@@ -409,7 +427,7 @@ class TestBatchedJacobian:
             assert len(groups) == 2
             r0 = _weighted_residuals(groups, Q, T)
             J = _jacobian(groups, Q, T, r0)
-            assert (J.toarray() == reference_jacobian(groups, Q, T, r0)).all()
+            assert (dense_jacobian(groups, J, len(Q)) == reference_jacobian(groups, Q, T, r0)).all()
 
 
 class TestBuildConstraints:
@@ -450,6 +468,68 @@ class TestBuildConstraints:
         assert all(w == 7.0 for w in consec_w)
         vel_w = {c.weight for c in cons if c.kind == VELOCITY}
         assert vel_w == {0.1 * 7.0}
+
+
+class TestChunkedSolve:
+    """The block-Thomas solve of the chunked normal equations against a
+    dense ``np.linalg.solve((JᵀJ + λI), -Jᵀr)``."""
+
+    @staticmethod
+    def frame_sets(gaps):
+        spec = synth.default_specs()["drawer"].with_noise(sigma_pos=0.005, dropout=0.2)
+        demo = synth.generate(spec, frames=40, seed=3)
+        members = cluster(similarity_matrix(demo)).clusters[0]
+        return [s for s in cluster_frame_sets(demo, members, 0) if s.frame not in gaps]
+
+    @staticmethod
+    def relative_error(sets, constraints, lam):
+        index = {s.frame: i for i, s in enumerate(sets)}
+        n = len(sets)
+        rng = np.random.default_rng(n)
+        Q = np.array([Pose.from_rotvec(rng.normal(0, 0.2, 3)).q for _ in sets])
+        T = rng.normal(0, 0.05, size=(n, 3))
+        groups = _residual_groups(constraints, index)
+        r = _weighted_residuals(groups, Q, T)
+        blocks = _jacobian(groups, Q, T, r)
+        layout = _chunk_layout(groups, n)
+        H, g = _normal_equations(layout, blocks, r)
+        x = _solve_chunks(H, -g, lam)[:6 * (n - 1)]
+        J = dense_jacobian(groups, blocks, n)
+        ref = np.linalg.solve(J.T @ J + lam * np.eye(6 * (n - 1)), -J.T @ r.ravel())
+        return np.abs(x - ref).max() / np.abs(ref).max(), layout
+
+    # One-frame gaps leave no consecutive or velocity factor across them;
+    # strides 2 to 10 bridge them with a sparse factor. Strides 1 and 50
+    # cannot, and a chain cut in two leaves JᵀJ singular, so at lam 1e-9
+    # no solver reaches 1e-10: those strides run without gaps.
+    @pytest.mark.parametrize("lam", [1e-9, 1e-3])
+    @pytest.mark.parametrize("stride, gaps, s", [
+        (1, (), 2), (2, (8, 19, 33), 2), (3, (8, 19, 33), 3), (10, (8, 19, 33), 10), (50, (), 2),
+    ], ids=["1", "2-gaps", "3-gaps", "10-gaps", "50"])
+    def test_matches_dense_solve(self, stride, gaps, s, lam):
+        sets = self.frame_sets(gaps)
+        err, layout = self.relative_error(sets, build_constraints(sets, sparse_stride=stride), lam)
+        assert layout[0] == s
+        assert err < 1e-10
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-3])
+    def test_single_chunk(self, lam):
+        sets = self.frame_sets(())
+        span = sets[-1].frame - sets[0].frame  # one sparse factor spans every row
+        err, layout = self.relative_error(sets, build_constraints(sets, sparse_stride=span), lam)
+        assert layout[:2] == (len(sets) - 1, 1)
+        assert err < 1e-10
+
+
+def test_cli_import_loads_no_scipy():
+    """Importing the CLI pulls in no scipy module: a fresh interpreter's
+    start-up is what every command pays."""
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, kinlearn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestOptimize:

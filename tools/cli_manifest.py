@@ -215,6 +215,11 @@ def error_commands():
         ["learn", "door-clean.traj", *door, "--sparse-stride", "0", "-o", "flag.db"],
         ["eval", "door-clean.db", "door-clean.traj", *door, "--sparse-stride", "-3"],
         ["eval", "door-clean.db", "door-clean.traj", *door, "--gamma-pos", "nan"],
+        # --eps below 0 or not finite, --min-pts below 1: usage errors
+        ["segment", "door-clean.traj", "--eps", "-1"],
+        ["learn", "door-clean.traj", *door, "--eps", "nan", "-o", "flag.db"],
+        ["eval", "door-clean.db", "door-clean.traj", *door, "--min-pts", "0"],
+        ["segment", "door-clean.traj", "--min-pts", "-5"],
     ]
 
 
