@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--frames", type=int, default=120)
     g.add_argument("--noise", type=float, default=0.0, help="position sigma (m)")
     g.add_argument("--dropout", type=float, default=0.0, help="per-frame loss prob")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_non_negative(int), default=0)
     g.add_argument("-o", "--output", required=True)
 
     s = sub.add_parser("segment", help="cluster trajectories into rigid parts")
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("learn", help="learn a kinematic graph from a demo")
     l.add_argument("demo")
     l.add_argument("--object", required=True, help="object id for the model db")
-    l.add_argument("--seed", type=int, default=0)
+    l.add_argument("--seed", type=_non_negative(int), default=0)
     _add_segmentation_flags(l)
     l.add_argument("--dump-similarity", dest="dump_similarity", metavar="CSV")
     _add_learning_flags(l)
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("db")
     e.add_argument("demos", nargs="+")
     e.add_argument("--object", required=True)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_non_negative(int), default=0)
     _add_segmentation_flags(e)
     _add_learning_flags(e)
     e.add_argument("--format", choices=("text", "csv"), default="text")

@@ -13,10 +13,11 @@ frame through ``ClusterPoseSequence.poses``, a read-only ``FramePoses`` view.
 The work is batched per cluster, with outputs bitwise those of the
 one-at-a-time forms:
 
-- ``build_constraints`` solves the deltas of all its frame pairs
-  together: each fit round stacks the pairs that fit the same number of
-  points into one ``kabsch`` call, and the residuals of every pair come
-  from one evaluation. ``estimate_delta`` is the one-pair form.
+- ``build_constraints`` reads a cluster's ``Demonstration.packed`` arrays
+  and solves the deltas of all its frame pairs together: each fit round
+  stacks the pairs that fit the same number of points into one ``kabsch``
+  call, and the residuals of every pair come from one evaluation.
+  ``estimate_delta`` is the one-pair form.
 - The fallback's ``RANSAC_SAMPLES`` minimal samples are drawn once per
   (point count, seed) and solved and scored in one ``kabsch`` call.
 - ``optimize`` evaluates each residual group once per Jacobian, with
@@ -79,14 +80,12 @@ RANSAC_SAMPLES = 100  # 3-point minimal samples per fallback
 
 @dataclass(frozen=True)
 class ClusterFrameSet:
-    """Member feature observations of one cluster at one frame: a frame
-    column of the packed track x frame arrays (``Demonstration.packed``)."""
+    """Member feature observations of one cluster at one frame, the input
+    of :func:`estimate_delta`: one frame column of ``Demonstration.packed``."""
 
-    cluster_id: int
     frame: int
     ids: tuple[int, ...]
     positions: np.ndarray  # (n, 3)
-    normals: np.ndarray  # (n, 3)
 
 
 @dataclass(frozen=True)
@@ -180,34 +179,28 @@ def _sample_consensus(src, dst, inlier_threshold, seed):
     return masks[np.argmax(np.where(valid, masks.sum(axis=1), -1))]
 
 
-def _estimate_deltas(pairs, inlier_threshold, seed):
-    """:func:`estimate_delta` of every (prev, curr) pair of ``pairs`` at once.
+def _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed):
+    """:func:`estimate_delta` of every frame pair (a[k], b[k]) at once.
 
-    Returns one item per pair: ``(delta, inlier ids)``, or the
-    InsufficientCorrespondences or DegenerateGeometry that the pair alone
-    raises. The common points of all pairs are laid end to end, so the
-    residuals and inlier masks of every pair come from one evaluation.
+    ``a`` and ``b`` index the frame columns of the packed arrays ``ids``,
+    ``positions``, ``valid`` of ``Demonstration.packed``. Returns one item
+    per pair: ``(delta, inlier ids)``, or the InsufficientCorrespondences
+    or DegenerateGeometry that the pair alone raises. One ``np.nonzero``
+    lays the common tracks of every pair end to end, in ascending id, so
+    the residuals and inlier masks of every pair come from one evaluation.
     Each fit round solves the pairs with one ``kabsch`` call per inlier
     count; ``kabsch`` computes each item as a one-item call would, so every
     delta is bitwise the one-pair result.
     """
-    out: list = [None] * len(pairs)
-    live, commons, srcs, dsts = [], [], [], []
-    for k, (prev, curr) in enumerate(pairs):
-        common, ia, ib = np.intersect1d(prev.ids, curr.ids, return_indices=True)
-        if len(common) < 3:
-            out[k] = InsufficientCorrespondences(f"need >=3 common features, got {len(common)}")
-            continue
-        live.append(k)
-        commons.append(common)
-        srcs.append(prev.positions[ia])
-        dsts.append(curr.positions[ib])
-    if not live:
-        return out
-    m = len(live)
-    sizes = np.array([len(c) for c in commons])
+    pair, track = np.nonzero((valid[:, a] & valid[:, b]).T)
+    sizes = np.bincount(pair, minlength=len(a))
+    out: list = [None if n >= 3 else InsufficientCorrespondences(
+        f"need >=3 common features, got {n}") for n in sizes.tolist()]
+    live = np.flatnonzero(sizes >= 3)
+    keep = sizes[pair] >= 3
+    m, sizes, pair, track = len(live), sizes[live], pair[keep], track[keep]
     seg = np.repeat(np.arange(m), sizes)  # live pair of each point
-    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    src, dst, common = positions[track, a[pair]], positions[track, b[pair]], ids[track]
     Q, T = np.empty((m, 4)), np.empty((m, 3))
     inliers = np.ones(len(seg), dtype=bool)
     degenerate = np.zeros(m, dtype=bool)
@@ -222,10 +215,10 @@ def _estimate_deltas(pairs, inlier_threshold, seed):
         for n in np.unique(n_in[todo]):
             group = todo & (n_in == n)
             pts = np.flatnonzero(group[seg] & inliers)
-            valid, Q[group], T[group] = kabsch(
+            solved, Q[group], T[group] = kabsch(
                 src[pts].reshape(-1, n, 3), dst[pts].reshape(-1, n, 3)
             )
-            degenerate[np.flatnonzero(group)[~valid]] = True
+            degenerate[np.flatnonzero(group)[~solved]] = True
         todo = todo & ~degenerate
         pts = todo[seg]
         moved = apply_pose(Pose(Q[seg[pts]], T[seg[pts]]), src[pts])
@@ -256,8 +249,8 @@ def _estimate_deltas(pairs, inlier_threshold, seed):
         if degenerate[i]:
             out[k] = DegenerateGeometry("source points are collinear within tolerance")
         else:
-            keep = inliers[starts[i]:starts[i + 1]]
-            out[k] = (Pose(Q[i], T[i]), tuple(int(f) for f in commons[i][keep]))
+            span = slice(starts[i], starts[i + 1])
+            out[k] = (Pose(Q[i], T[i]), tuple(common[span][inliers[span]].tolist()))
     return out
 
 
@@ -278,52 +271,60 @@ def estimate_delta(
     most inliers re-seeds the consensus.
 
     The one-pair form of the batched routine that ``build_constraints``
-    runs over all pairs of a cluster. Raises InsufficientCorrespondences
-    for fewer than 3 common features and DegenerateGeometry when a fit's
-    points are collinear.
+    runs over all pairs of a cluster: the two sets are laid out as a
+    two-column packed array. Raises InsufficientCorrespondences for fewer
+    than 3 common features and DegenerateGeometry when a fit's points are
+    collinear.
     """
-    (result,) = _estimate_deltas([(prev, curr)], inlier_threshold, seed)
+    ids = np.union1d(prev.ids, curr.ids).astype(np.int64)
+    positions, valid = np.full((len(ids), 2, 3), np.nan), np.zeros((len(ids), 2), dtype=bool)
+    for col, s in enumerate((prev, curr)):
+        rows = np.searchsorted(ids, s.ids)
+        positions[rows, col], valid[rows, col] = s.positions, True
+    pair = np.array([0]), np.array([1])
+    (result,) = _estimate_deltas(ids, positions, valid, *pair, inlier_threshold, seed)
     if isinstance(result, Exception):
         raise result
     return result
 
 
+def _observed_frames(valid) -> np.ndarray:
+    """The frame columns of a packed ``valid`` mask that show >= 3 members."""
+    return np.flatnonzero(valid.sum(axis=0) >= 3)
+
+
 def build_constraints(
-    frames: list[ClusterFrameSet],
+    ids: np.ndarray, positions: np.ndarray, valid: np.ndarray,
     inlier_threshold: float = DEFAULT_INLIER_THRESHOLD,
     sparse_stride: int = DEFAULT_SPARSE_STRIDE,
     seed: int = 0,
 ) -> list[PoseConstraint]:
     """Measurement and smoothing factors for one cluster's pose chain.
 
-    Consecutive constraints join adjacent frame indices; sparse ones join
+    Reads the cluster's arrays as ``Demonstration.packed`` returns them;
+    only frames that show >= 3 members are observed. Consecutive
+    constraints join adjacent observed frames; sparse ones join
     (t - sparse_stride, t) when both are observed with enough common
-    features; velocity regularizers cover every contiguous frame triple.
-    Measurement weights are the inlier counts; the velocity weight is
-    0.1 x the median consecutive weight.
+    features; velocity regularizers cover every contiguous observed
+    triple. Measurement weights are the inlier counts; the velocity
+    weight is 0.1 x the median consecutive weight.
     """
-    frames = sorted(frames, key=lambda s: s.frame)
-    by_frame = {s.frame: s for s in frames}
-    # no consecutive constraint across a gap
-    pairs = [(CONSECUTIVE, a, b) for a, b in zip(frames, frames[1:]) if b.frame - a.frame == 1]
-    pairs += [
-        (SPARSE, by_frame[b.frame - sparse_stride], b)
-        for b in frames
-        if b.frame - sparse_stride in by_frame
-    ]
-    deltas = _estimate_deltas([(a, b) for _, a, b in pairs], inlier_threshold, seed)
+    frames = _observed_frames(valid)
+    after = frames[np.isin(frames - 1, frames)]  # no consecutive constraint across a gap
+    sparse = frames[np.isin(frames - sparse_stride, frames)]
+    a, b = np.concatenate([after - 1, sparse - sparse_stride]), np.concatenate([after, sparse])
+    kinds = [CONSECUTIVE] * len(after) + [SPARSE] * len(sparse)
+    deltas = _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed)
     constraints = [  # a pair without a delta gets no constraint
-        PoseConstraint(kind, (a.frame, b.frame), d[0], float(len(d[1])))
-        for (kind, a, b), d in zip(pairs, deltas)
+        PoseConstraint(kind, (fa, fb), d[0], float(len(d[1])))
+        for kind, fa, fb, d in zip(kinds, a.tolist(), b.tolist(), deltas)
         if not isinstance(d, Exception)
     ]
 
     consecutive_weights = [c.weight for c in constraints if c.kind == CONSECUTIVE]
     w_v = 0.1 * float(np.median(consecutive_weights)) if consecutive_weights else 1.0
-    for s in frames:
-        t = s.frame
-        if t - 1 in by_frame and t + 1 in by_frame:
-            constraints.append(PoseConstraint(VELOCITY, (t - 1, t, t + 1), None, w_v))
+    constraints += [PoseConstraint(VELOCITY, (t - 1, t, t + 1), None, w_v)
+                    for t in after[np.isin(after + 1, frames)].tolist()]
     return constraints
 
 
@@ -570,33 +571,29 @@ def estimate_cluster_poses(
     sparse_stride: int = DEFAULT_SPARSE_STRIDE,
     seed: int = 0,
 ) -> list[ClusterPoseSequence]:
-    """Full per-cluster pipeline: frame sets, deltas, constraints, smoothing.
+    """Full per-cluster pipeline on ``Demonstration.packed``: deltas, constraints, smoothing.
 
     Clusters observable with >=3 features in fewer than 2 frames are
     dropped with a warning. Results are ordered by cluster id.
     """
     results: list[ClusterPoseSequence] = []
     for cid in sorted(assignment.clusters):
-        ids, pos, nrm, valid = demo.packed(assignment.clusters[cid])
-        sets = [  # the frames that show at least 3 members
-            ClusterFrameSet(cid, f, tuple(ids[seen].tolist()), pos[seen, f], nrm[seen, f])
-            for f, seen in enumerate(valid.T)
-            if seen.sum() >= 3
-        ]
-        if len(sets) < 2:
+        ids, pos, _, valid = demo.packed(assignment.clusters[cid])
+        frames = _observed_frames(valid).tolist()
+        if len(frames) < 2:
             warnings.warn(
                 f"cluster {cid}: fewer than 2 frames with >=3 features, dropped",
                 RuntimeWarning,
             )
             continue
-        constraints = build_constraints(sets, inlier_threshold, sparse_stride, seed)
+        constraints = build_constraints(ids, pos, valid, inlier_threshold, sparse_stride, seed)
         consec = {c.frames[1]: c for c in constraints if c.kind == CONSECUTIVE}
 
-        chain, counts = [Pose.identity()], {sets[0].frame: len(sets[0].ids)}
-        for s in sets[1:]:  # a gap or a failed delta leaves no constraint: hold the pose
-            c = consec.get(s.frame)
+        chain, counts = [Pose.identity()], {frames[0]: int(valid[:, frames[0]].sum())}
+        for f in frames[1:]:  # a gap or a failed delta leaves no constraint: hold the pose
+            c = consec.get(f)
             chain.append(chain[-1] if c is None else compose(c.delta, chain[-1]))
-            counts[s.frame] = 0 if c is None else int(c.weight)
-        poses = FramePoses([s.frame for s in sets], Pose.stack(chain))
+            counts[f] = 0 if c is None else int(c.weight)
+        poses = FramePoses(frames, Pose.stack(chain))
         results.append(optimize(constraints, ClusterPoseSequence(cid, poses, counts)))
     return results

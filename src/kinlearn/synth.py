@@ -143,11 +143,11 @@ def _validate(spec: ObjectSpec, frames: int) -> list[JointSpec]:
         raise InvalidSpec(f"frames must be >= 10, got {frames}")
     if spec.features_per_part < 3:
         raise InvalidSpec("features_per_part must be >= 3")
+    sigmas = f"{spec.noise_sigma_pos} m and {spec.noise_sigma_normal} rad"
     if spec.noise_sigma_pos < 0 or spec.noise_sigma_normal < 0:
-        raise InvalidSpec(
-            f"noise sigmas must be >= 0, got {spec.noise_sigma_pos} m "
-            f"and {spec.noise_sigma_normal} rad"
-        )
+        raise InvalidSpec(f"noise sigmas must be >= 0, got {sigmas}")
+    if not (math.isfinite(spec.noise_sigma_pos) and math.isfinite(spec.noise_sigma_normal)):
+        raise InvalidSpec(f"noise sigmas must be finite, got {sigmas}")
     if not 0 <= spec.dropout_prob < 1:
         raise InvalidSpec(f"dropout_prob must lie in [0, 1), got {spec.dropout_prob}")
     if len(spec.joints) != k - 1:

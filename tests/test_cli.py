@@ -74,6 +74,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("flags", [
         ["--noise", "-1"], ["--dropout", "1.0"], ["--dropout", "-0.1"],
+        ["--noise", "nan"], ["--noise", "inf"],
     ])
     def test_bad_noise_settings_exit_2(self, tmp_path, flags):
         out = tmp_path / "x.traj"
@@ -470,4 +471,18 @@ class TestErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {flag}: must be positive and finite, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "learn", "eval"])
+    def test_negative_seed_is_usage_error(self, door_files, tmp_path, capsys, command):
+        traj, db, _ = door_files
+        out = tmp_path / "out"
+        args = {"generate": ["--object", "door", "-o", str(out)],
+                "learn": [traj, "--object", "door", "-o", str(out)],
+                "eval": [db, traj, "--object", "door"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *args, "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --seed: must be finite and >= 0, got '-1'" in err
         assert not out.exists()

@@ -57,10 +57,20 @@ def pclose(a, b, tol):
     return dt < tol and dr < tol
 
 
-def fset(frame, ids, positions, cid=0):
-    positions = np.asarray(positions, dtype=float)
-    normals = np.tile([0.0, 0.0, 1.0], (len(ids), 1))
-    return ClusterFrameSet(cid, frame, tuple(ids), positions, normals)
+def fset(frame, ids, positions):
+    return ClusterFrameSet(frame, tuple(ids), np.asarray(positions, dtype=float))
+
+
+def pack(frames):
+    """The packed (ids, positions, valid) arrays of ``Demonstration.packed``
+    that hold the frame sets ``frames``, one column per frame index."""
+    ids = np.unique(np.concatenate([s.ids for s in frames])).astype(np.int64)
+    valid = np.zeros((len(ids), max(s.frame for s in frames) + 1), dtype=bool)
+    positions = np.full(valid.shape + (3,), np.nan)
+    for s in frames:
+        rows = np.searchsorted(ids, s.ids)
+        positions[rows, s.frame], valid[rows, s.frame] = s.positions, True
+    return ids, positions, valid
 
 
 def total_cost(constraints, seq):
@@ -264,10 +274,10 @@ class TestRansacSamples:
 
 
 def cluster_frame_sets(demo, members, cid):
-    """The frame sets estimate_cluster_poses builds: frames with >= 3 members."""
-    ids, pos, nrm, valid = demo.packed(members)
+    """The frame sets of the packed columns that show >= 3 members."""
+    ids, pos, _, valid = demo.packed(members)
     return [
-        ClusterFrameSet(cid, f, tuple(ids[seen].tolist()), pos[seen, f], nrm[seen, f])
+        ClusterFrameSet(f, tuple(ids[seen].tolist()), pos[seen, f])
         for f, seen in enumerate(valid.T)
         if seen.sum() >= 3
     ]
@@ -305,7 +315,8 @@ class TestBatchedDeltas:
 
     def assert_matches_reference(self, frames, seed):
         pairs = constraint_pairs(frames)
-        batched = _estimate_deltas([(a, b) for _, a, b in pairs], 0.01, seed)
+        columns = [np.array([p[k].frame for p in pairs]) for k in (1, 2)]
+        batched = _estimate_deltas(*pack(frames), *columns, 0.01, seed)
         expected = []
         for (kind, a, b), got in zip(pairs, batched):
             ref = reference_delta_or_error(a, b, seed)
@@ -318,7 +329,7 @@ class TestBatchedDeltas:
             assert got[0].t.tobytes() == ref[0].t.tobytes()
             assert got[1] == ref[1]
             expected.append((kind, (a.frame, b.frame), ref[0], float(len(ref[1]))))
-        cons = [c for c in build_constraints(frames, seed=seed) if c.kind != VELOCITY]
+        cons = [c for c in build_constraints(*pack(frames), seed=seed) if c.kind != VELOCITY]
         assert [(c.kind, c.frames, c.weight) for c in cons] == [
             (kind, fr, w) for kind, fr, _, w in expected
         ]
@@ -418,7 +429,7 @@ class TestBatchedJacobian:
         assignment = cluster(similarity_matrix(demo))
         for cid, members in sorted(assignment.clusters.items()):
             frames = cluster_frame_sets(demo, members, cid)
-            cons = build_constraints(frames, seed=1)
+            cons = build_constraints(*pack(frames), seed=1)
             index = {s.frame: i for i, s in enumerate(frames)}
             rng = np.random.default_rng(cid)
             Q = np.array([Pose.from_rotvec(rng.normal(0, 0.3, 3)).q for _ in frames])
@@ -435,35 +446,39 @@ class TestBuildConstraints:
     def static_frames(frame_indices, n_pts=5):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.3, 0.3, size=(n_pts, 3))
-        return [fset(f, range(n_pts), pts) for f in frame_indices]
+        return pack([fset(f, range(n_pts), pts) for f in frame_indices])
 
     def test_eleven_frames_counts(self):
-        cons = build_constraints(self.static_frames(range(11)))
+        cons = build_constraints(*self.static_frames(range(11)))
         kinds = [c.kind for c in cons]
         assert kinds.count(CONSECUTIVE) == 10
         assert kinds.count(SPARSE) == 1
         assert kinds.count(VELOCITY) == 9
 
     def test_gap_breaks_consecutive(self):
-        frames = [f for f in range(11) if f != 5]
-        cons = build_constraints(self.static_frames(frames))
-        consec = [c.frames for c in cons if c.kind == CONSECUTIVE]
-        assert (4, 5) not in consec and (5, 6) not in consec and (4, 6) not in consec
-        assert len(consec) == 8
-        sparse = [c.frames for c in cons if c.kind == SPARSE]
-        assert sparse == [(0, 10)]
-        vel = [c.frames for c in cons if c.kind == VELOCITY]
-        assert vel == [(0, 1, 2), (1, 2, 3), (2, 3, 4), (6, 7, 8), (7, 8, 9), (8, 9, 10)]
+        missing = self.static_frames([f for f in range(11) if f != 5])
+        # frame 5 shows 2 members, too few to observe; the others show exactly 3
+        ids, positions, valid = self.static_frames(range(11), n_pts=3)
+        valid[2, 5], positions[2, 5] = False, np.nan
+        for packed in (missing, (ids, positions, valid)):
+            cons = build_constraints(*packed)
+            consec = [c.frames for c in cons if c.kind == CONSECUTIVE]
+            assert (4, 5) not in consec and (5, 6) not in consec and (4, 6) not in consec
+            assert len(consec) == 8
+            sparse = [c.frames for c in cons if c.kind == SPARSE]
+            assert sparse == [(0, 10)]
+            vel = [c.frames for c in cons if c.kind == VELOCITY]
+            assert vel == [(0, 1, 2), (1, 2, 3), (2, 3, 4), (6, 7, 8), (7, 8, 9), (8, 9, 10)]
 
     def test_five_frames_no_sparse(self):
-        cons = build_constraints(self.static_frames(range(5)))
+        cons = build_constraints(*self.static_frames(range(5)))
         kinds = [c.kind for c in cons]
         assert kinds.count(CONSECUTIVE) == 4
         assert kinds.count(SPARSE) == 0
         assert kinds.count(VELOCITY) == 3
 
     def test_weights(self):
-        cons = build_constraints(self.static_frames(range(11), n_pts=7))
+        cons = build_constraints(*self.static_frames(range(11), n_pts=7))
         consec_w = [c.weight for c in cons if c.kind == CONSECUTIVE]
         assert all(w == 7.0 for w in consec_w)
         vel_w = {c.weight for c in cons if c.kind == VELOCITY}
@@ -508,7 +523,8 @@ class TestChunkedSolve:
     ], ids=["1", "2-gaps", "3-gaps", "10-gaps", "50"])
     def test_matches_dense_solve(self, stride, gaps, s, lam):
         sets = self.frame_sets(gaps)
-        err, layout = self.relative_error(sets, build_constraints(sets, sparse_stride=stride), lam)
+        cons = build_constraints(*pack(sets), sparse_stride=stride)
+        err, layout = self.relative_error(sets, cons, lam)
         assert layout[0] == s
         assert err < 1e-10
 
@@ -516,7 +532,8 @@ class TestChunkedSolve:
     def test_single_chunk(self, lam):
         sets = self.frame_sets(())
         span = sets[-1].frame - sets[0].frame  # one sparse factor spans every row
-        err, layout = self.relative_error(sets, build_constraints(sets, sparse_stride=span), lam)
+        cons = build_constraints(*pack(sets), sparse_stride=span)
+        err, layout = self.relative_error(sets, cons, lam)
         assert layout[:2] == (len(sets) - 1, 1)
         assert err < 1e-10
 

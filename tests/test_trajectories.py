@@ -125,6 +125,8 @@ class TestGenerator:
         {"noise_sigma_normal": -0.1},
         {"dropout_prob": 1.0},
         {"dropout_prob": -0.1},
+        {"noise_sigma_pos": float("nan")},
+        {"noise_sigma_pos": float("inf")},
     ])
     def test_invalid_noise_settings(self, setting):
         with pytest.raises(InvalidSpec):

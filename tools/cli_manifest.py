@@ -7,6 +7,7 @@ matrix covers every catalog object, clean, noisy and rough, through generate,
 segment, learn --dump-similarity, predict (a short sweep and a 401-row one
 that runs from negative configurations past the observed range) and eval,
 a fridge at 40 % dropout through segment and learn --dump-similarity,
+the rough drawer and monitor through learn at --sparse-stride 1 and 3,
 plus the error paths of every subcommand.
 
 The commands run in-process through ``kinlearn.cli.main``, taken from
@@ -100,6 +101,11 @@ def pipeline_commands():
         ["learn", traj, "--object", "fridge", "--seed", SEED,
          "--dump-similarity", "fridge-sparse.sim.csv", "-o", "fridge-sparse.db"],
     ]
+    # pose-graph pair selection at strides other than the default 10
+    for obj in ("drawer", "monitor"):
+        for stride in ("1", "3"):
+            cmds.append(["learn", f"{obj}-rough.traj", "--object", obj, "--seed", SEED,
+                         "--sparse-stride", stride, "-o", f"{obj}-rough.s{stride}.db"])
     return cmds
 
 
@@ -162,6 +168,9 @@ def error_commands():
         [*gen, "--noise", "-1", "-o", "noise-neg.traj"],
         [*gen, "--dropout", "1.0", "-o", "drop-one.traj"],
         [*gen, "--dropout", "-0.1", "-o", "drop-neg.traj"],
+        [*gen, "--noise", "nan", "-o", "noise-nan.traj"],
+        [*gen, "--noise", "inf", "-o", "noise-inf.traj"],
+        [*gen, "--seed", "-1", "-o", "seed-neg.traj"],
         ["segment", "missing.traj"],
         ["segment", "empty.traj"],
         ["segment", "header.traj"],
@@ -178,6 +187,9 @@ def error_commands():
         ["learn", "one.traj", *door, "--dump-similarity", "one.sim.csv", "-o", "one.db"],
         ["learn", "zero.traj", *door, "-o", "zero.db"],
         ["learn", "v9.traj", *door, "-o", "v9.out.db"],
+        # a negative seed, on a demo whose deltas need the RANSAC fallback
+        ["learn", "drawer-rough.traj", "--object", "drawer", "--seed", "-1",
+         "-o", "seed-neg.db"],
         ["eval", "door-clean.db", "one.traj", "door-clean.traj", *door],
         ["eval", "door-clean.db", "bare.traj", *door],
         ["eval", "door-clean.db", "missing.traj", *door],
