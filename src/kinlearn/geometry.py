@@ -7,7 +7,12 @@ meters. All values are immutable and all operations are pure functions.
 
 Batched quaternion helpers (``quat_*``) operate on arrays of shape
 ``(..., 4)`` and are used by the pose-graph optimizer and the synthetic
-generator where per-Pose Python objects would be too slow. ``kabsch``
+generator where per-Pose Python objects would be too slow. They index
+the components and fill one ``np.empty`` result instead of calling
+numpy's Python-level wrappers (``moveaxis``, ``stack``,
+``take_along_axis``, ``linalg.norm``), whose fixed cost per call
+outweighs the arithmetic on short stacks; the arithmetic and its order
+are those of the wrapper forms, so every item keeps its bits. ``kabsch``
 solves a stack of rigid alignments at once; ``align_point_sets`` is its
 single-item form.
 
@@ -57,24 +62,32 @@ __all__ = [
 # batched quaternion primitives
 
 
+def _norm(x, keepdims=False):
+    """Euclidean norm over the last axis: what ``np.linalg.norm(x, axis=-1)``
+    computes for a float array, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=keepdims))
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product of quaternion arrays, shape (..., 4)."""
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    w = aw * bw - ax * bx - ay * by - az * bz
+    out = np.empty(np.shape(w) + (4,))
+    out[..., 0] = w
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
+
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+    return np.asarray(q, dtype=float) * _CONJ
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -91,33 +104,33 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     sx = (y * vz - z * vy) + w * vx
     sy = (z * vx - x * vz) + w * vy
     sz = (x * vy - y * vx) + w * vz
-    return np.stack(
-        [
-            vx + 2.0 * (y * sz - z * sy),
-            vy + 2.0 * (z * sx - x * sz),
-            vz + 2.0 * (x * sy - y * sx),
-        ],
-        axis=-1,
-    )
+    rx = vx + 2.0 * (y * sz - z * sy)
+    out = np.empty(np.shape(rx) + (3,))
+    out[..., 0] = rx
+    out[..., 1] = vy + 2.0 * (z * sx - x * sz)
+    out[..., 2] = vz + 2.0 * (x * sy - y * sx)
+    return out
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Flip signs so the first nonzero component (w first) is positive."""
     q = np.asarray(q, dtype=float)
-    first = np.argmax(q != 0.0, axis=-1)[..., None]
-    sign = np.sign(np.take_along_axis(q, first, axis=-1))
-    return q * np.where(sign == 0.0, 1.0, sign)
+    nz = q != 0.0
+    first = np.where(nz[..., 0], q[..., 0], np.where(
+        nz[..., 1], q[..., 1], np.where(nz[..., 2], q[..., 2], q[..., 3])))
+    sign = np.sign(first)
+    return q * np.where(sign == 0.0, 1.0, sign)[..., None]
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return q / _norm(q, keepdims=True)
 
 
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Quaternion of the rotation vector (axis * angle), batched."""
     v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v, axis=-1)
+    angle = _norm(v)
     half = 0.5 * angle
     # sin(x/2)/x, series for small x to avoid 0/0
     small = angle < 1e-8
@@ -132,7 +145,7 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     q = quat_canonical(np.asarray(q, dtype=float))
     w = q[..., 0]
     u = q[..., 1:]
-    n = np.linalg.norm(u, axis=-1)
+    n = _norm(u)
     angle = 2.0 * np.arctan2(n, w)
     small = n < 1e-12
     safe = np.where(small, 1.0, n)
@@ -143,7 +156,7 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
 def quat_angle(q: np.ndarray) -> np.ndarray:
     """Geodesic rotation angle (radians) of a unit quaternion, batched."""
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q[..., 1:], axis=-1)
+    n = _norm(q[..., 1:])
     return 2.0 * np.arctan2(n, np.abs(q[..., 0]))
 
 
@@ -154,15 +167,11 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
     pos = trace > 0
     s = np.sqrt(np.where(pos, trace, 0.0) + 1.0) * 2.0
-    q = np.stack(
-        [
-            0.25 * s,
-            (m[:, 2, 1] - m[:, 1, 2]) / s,
-            (m[:, 0, 2] - m[:, 2, 0]) / s,
-            (m[:, 1, 0] - m[:, 0, 1]) / s,
-        ],
-        axis=-1,
-    )
+    q = np.empty((len(m), 4))
+    q[:, 0] = 0.25 * s
+    q[:, 1] = (m[:, 2, 1] - m[:, 1, 2]) / s
+    q[:, 2] = (m[:, 0, 2] - m[:, 2, 0]) / s
+    q[:, 3] = (m[:, 1, 0] - m[:, 0, 1]) / s
     if not pos.all():
         # trace <= 0: branch on the largest diagonal entry
         b = m[~pos]

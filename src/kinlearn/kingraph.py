@@ -178,11 +178,12 @@ def predict(
                 raise MissingConfiguration(
                     f"edge ({a}, {b}) [{model.kind}] needs a configuration"
                 )
-            if np.any(model.extrapolates(q)):
+            outside = np.count_nonzero(model.extrapolates(q))
+            if outside:
                 lo, hi = model.q_range()
                 warnings.warn(
-                    f"edge ({a}, {b}): configuration {q} outside observed "
-                    f"range [{lo}, {hi}], extrapolating",
+                    f"edge ({a}, {b}): {outside} of {np.size(q)} configuration(s) outside "
+                    f"observed range [{lo}, {hi}], extrapolating",
                     RuntimeWarning,
                 )
         delta = model.predict(q)

@@ -16,8 +16,12 @@ one-at-a-time forms:
 - ``build_constraints`` reads a cluster's ``Demonstration.packed`` arrays
   and solves the deltas of all its frame pairs together: each fit round
   stacks the pairs that fit the same number of points into one ``kabsch``
-  call, and the residuals of every pair come from one evaluation.
-  ``estimate_delta`` is the one-pair form.
+  call, and the residuals of every pair come from one evaluation; one
+  ``Pose`` call normalises all the deltas. ``estimate_delta`` is the
+  one-pair form.
+- The initial chain composes each consecutive delta onto the previous
+  pose on bare (q, t) rows with the quaternion kernels, one step per
+  frame and no ``Pose`` per frame.
 - The fallback's ``RANSAC_SAMPLES`` minimal samples are drawn once per
   (point count, seed) and solved and scored in one ``kabsch`` call.
 - ``optimize`` evaluates each residual group once per Jacobian, with
@@ -46,9 +50,10 @@ import numpy as np
 from .errors import DegenerateGeometry, InsufficientCorrespondences
 from .geometry import (
     Pose,
+    _norm,
     apply_pose,
-    compose,
     kabsch,
+    quat_canonical,
     quat_conj,
     quat_from_rotvec,
     quat_mul,
@@ -175,7 +180,7 @@ def _sample_consensus(src, dst, inlier_threshold, seed):
     if not valid.any():
         return None
     moved = apply_pose(Pose(q[:, None, :], t[:, None, :]), src)
-    masks = np.linalg.norm(moved - dst, axis=-1) < inlier_threshold
+    masks = _norm(moved - dst) < inlier_threshold
     return masks[np.argmax(np.where(valid, masks.sum(axis=1), -1))]
 
 
@@ -222,7 +227,7 @@ def _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed):
         todo = todo & ~degenerate
         pts = todo[seg]
         moved = apply_pose(Pose(Q[seg[pts]], T[seg[pts]]), src[pts])
-        return todo, pts, np.linalg.norm(moved - dst[pts], axis=-1) < inlier_threshold
+        return todo, pts, _norm(moved - dst[pts]) < inlier_threshold
 
     _, pts, refreshed = fit(np.ones(m, dtype=bool))
     inliers[pts] = refreshed
@@ -245,12 +250,13 @@ def _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed):
         inliers[pts] = refreshed
         todo &= changed
 
-    for i, k in enumerate(live):
+    deltas = Pose(Q, T)  # every delta normalised in one call
+    for i, k in enumerate(live.tolist()):
         if degenerate[i]:
             out[k] = DegenerateGeometry("source points are collinear within tolerance")
         else:
             span = slice(starts[i], starts[i + 1])
-            out[k] = (Pose(Q[i], T[i]), tuple(common[span][inliers[span]].tolist()))
+            out[k] = (deltas[i], tuple(common[span][inliers[span]].tolist()))
     return out
 
 
@@ -589,11 +595,19 @@ def estimate_cluster_poses(
         constraints = build_constraints(ids, pos, valid, inlier_threshold, sparse_stride, seed)
         consec = {c.frames[1]: c for c in constraints if c.kind == CONSECUTIVE}
 
-        chain, counts = [Pose.identity()], {frames[0]: int(valid[:, frames[0]].sum())}
-        for f in frames[1:]:  # a gap or a failed delta leaves no constraint: hold the pose
+        # the chain of compose(delta, previous), one step per frame on bare arrays
+        Q, T = np.empty((len(frames), 4)), np.empty((len(frames), 3))
+        Q[0], T[0] = (1.0, 0.0, 0.0, 0.0), 0.0  # the identity
+        counts = {frames[0]: int(valid[:, frames[0]].sum())}
+        for k, f in enumerate(frames[1:], start=1):
             c = consec.get(f)
-            chain.append(chain[-1] if c is None else compose(c.delta, chain[-1]))
-            counts[f] = 0 if c is None else int(c.weight)
-        poses = FramePoses(frames, Pose.stack(chain))
+            if c is None:  # a gap or a failed delta leaves no constraint: hold the pose
+                Q[k], T[k], counts[f] = Q[k - 1], T[k - 1], 0
+                continue
+            dq = c.delta.q
+            Q[k] = quat_canonical(quat_normalize(quat_mul(dq, Q[k - 1])))
+            T[k] = quat_rotate(dq, T[k - 1]) + c.delta.t
+            counts[f] = int(c.weight)
+        poses = FramePoses(frames, Pose._stored(Q, T))
         results.append(optimize(constraints, ClusterPoseSequence(cid, poses, counts)))
     return results

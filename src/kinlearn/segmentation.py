@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import _norm
 from .trajectories import Demonstration, FeatureTrajectory
 
 __all__ = [
@@ -110,7 +111,7 @@ def similarity_matrix(
             frames = np.nonzero(both[group])[1].reshape(len(group), T)
             L = 1.0
             if use_pos:
-                d = np.linalg.norm(pos[a, frames] - pos[b, frames], axis=-1)
+                d = _norm(pos[a, frames] - pos[b, frames])
                 L = L * _kernel(d, params.gamma_pos)
             if use_nrm:
                 d = 1.0 - np.sum(nrm[a, frames] * nrm[b, frames], axis=-1)

@@ -24,13 +24,23 @@ part's poses are one ``Pose`` stack, ``gt.part_poses[part][frame]``.
 This module owns the text format of every file the package writes:
 ``fmt_floats`` writes each float with ``repr`` (so the round trip is
 lossless and runs are byte-identical for a fixed seed), ``write_lines``
-writes every file, and ``read_records`` reads every record file (``.traj``,
-``.gt`` and the model database), checking its header and schema and
+writes every file, and ``read_records`` reads every record file (``.gt`` and
+the model database) one line at a time, checking its header and schema and
 reporting parse errors with their line numbers.
+
+``load`` checks a ``.traj`` header the same way, then reads the body in
+blocks of at most ``_BLOCK`` lines: one ``str.split`` per block, one
+``int``/``float`` conversion pass per field group with Python's text
+rules, and each track built from slices of the block's arrays, so the
+parse's temporaries stay bounded whatever the file's size. A block that
+holds a blank line or breaks a rule is read again one record at a time,
+which raises the first error with the message and line number that the
+per-record reader gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -67,15 +77,16 @@ class FeatureTrajectory:
     observations: np.recarray
 
     def __post_init__(self):
-        obs = np.array(self.observations, dtype=OBSERVATION).view(np.recarray)
+        obs = np.array(self.observations, dtype=OBSERVATION)
         obs.flags.writeable = False
+        frames = obs["frame"]
         if len(obs) < 2:
             raise ValueError(f"trajectory {self.id} has fewer than 2 observations")
-        if np.any(np.diff(obs.frame) <= 0):
+        if np.any(frames[1:] - frames[:-1] <= 0):  # np.diff, without its wrapper
             raise ValueError(f"trajectory {self.id}: frames not strictly increasing")
-        if obs.frame[0] < 0:
-            raise ValueError(f"trajectory {self.id}: negative frame {obs.frame[0]}")
-        object.__setattr__(self, "observations", obs)
+        if frames[0] < 0:
+            raise ValueError(f"trajectory {self.id}: negative frame {frames[0]}")
+        object.__setattr__(self, "observations", obs.view(np.recarray))
 
     @classmethod
     def from_arrays(cls, id, frames, positions, normals) -> "FeatureTrajectory":
@@ -164,15 +175,17 @@ class Demonstration:
         """
         lookup = {t.id: t for t in self.trajectories}
         ids = np.array(sorted(lookup if ids is None else ids), dtype=np.int64)
-        n_frames = 1 + max((int(lookup[tid].frames[-1]) for tid in ids), default=-1)
-        valid = np.zeros((len(ids), n_frames), dtype=bool)
+        tracks = [lookup[tid].observations for tid in ids.tolist()]
+        # every observation once, track after track, as plain record fields
+        obs = np.concatenate(tracks or [np.empty(0, OBSERVATION)]).view(np.ndarray)
+        rows = np.repeat(np.arange(len(ids)), [len(t) for t in tracks])
+        frames = obs["frame"]
+        valid = np.zeros((len(ids), 1 + int(frames.max(initial=-1))), dtype=bool)
         pos = np.full(valid.shape + (3,), np.nan)
         nrm = np.full(valid.shape + (3,), np.nan)
-        for i, tid in enumerate(ids):
-            obs = lookup[tid].observations
-            pos[i, obs.frame] = obs.position
-            nrm[i, obs.frame] = obs.normal
-            valid[i, obs.frame] = True
+        pos[rows, frames] = obs["position"]
+        nrm[rows, frames] = obs["normal"]
+        valid[rows, frames] = True
         return ids, pos, nrm, valid
 
 
@@ -192,16 +205,9 @@ def write_lines(path: str, lines) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def read_records(path: str, tag: str, schema: int, record, finish=None, fields=()):
-    """Read a record file whose header is ``<tag> <schema> <fields...>``.
-
-    Rejects an empty file, a wrong header and another schema version,
-    then calls ``record(parts)`` with the split fields of every non-blank
-    line after the header and, once the file is read, ``finish()``. A
-    ValueError or IndexError raised while handling line n becomes
-    ``ParseError(line=n)``; for ``finish`` n is the line past the end.
-    Returns the header's ``fields`` parsed as floats (errors: line 1).
-    """
+def _read_header(path: str, tag: str, schema: int, fields):
+    """The lines of a record file whose header ``<tag> <schema> <fields...>``
+    is checked, and the header's ``fields`` parsed as floats (errors: line 1)."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
@@ -212,18 +218,40 @@ def read_records(path: str, tag: str, schema: int, record, finish=None, fields=(
         raise ParseError(f"expected header {expected!r}", line=1)
     if header[1] != str(schema):
         raise SchemaVersionMismatch(header[1], str(schema))
-    lineno = 1
+    return lines, _at_line(1, lambda: [float(v) for v in header[2:]])
+
+
+def _at_line(lineno: int, fn, *args):
+    """``fn(*args)``, a ValueError or IndexError raised as ``ParseError(line=lineno)``."""
     try:
-        values = [float(v) for v in header[2:]]
-        for lineno, raw in enumerate(lines[1:], start=2):
-            parts = raw.split()
-            if parts:
-                record(parts)
-        lineno = len(lines) + 1
-        if finish is not None:
-            finish()
+        return fn(*args)
     except (ValueError, IndexError) as exc:
         raise ParseError(str(exc), line=lineno) from None
+
+
+def _records(lines, start: int, record) -> None:
+    """``record(parts)`` with the split fields of every non-blank line of
+    ``lines``, the first of which is line ``start`` of its file."""
+    for lineno, raw in enumerate(lines, start):
+        parts = raw.split()
+        if parts:
+            _at_line(lineno, record, parts)
+
+
+def read_records(path: str, tag: str, schema: int, record, finish=None, fields=()):
+    """Read a record file whose header is ``<tag> <schema> <fields...>``.
+
+    Rejects an empty file, a wrong header and another schema version,
+    then calls ``record(parts)`` with the split fields of every non-blank
+    line after the header and, once the file is read, ``finish()``. A
+    ValueError or IndexError raised while handling line n becomes
+    ``ParseError(line=n)``; for ``finish`` n is the line past the end.
+    Returns the header's ``fields`` parsed as floats (errors: line 1).
+    """
+    lines, values = _read_header(path, tag, schema, fields)
+    _records(itertools.islice(lines, 1, None), 2, record)
+    if finish is not None:
+        _at_line(len(lines) + 1, finish)
     return values
 
 
@@ -261,44 +289,116 @@ def save_ground_truth(gt: GroundTruth, path: str) -> None:
     write_lines(path, lines)
 
 
-def load(path: str) -> Demonstration:
-    """Read a ``.traj`` file; loads the ``.gt`` sidecar when present."""
-    trajectories: list[FeatureTrajectory] = []
-    seen: set[int] = set()
-    cur_id: int | None = None
-    cur_frames: list[int] = []
-    cur_rows: list[list[float]] = []  # position then normal, per observation
+class _Tracks:
+    """The trajectories of a ``.traj`` body, read a block of lines at a time.
 
-    def flush():
-        if cur_id is not None:
-            rows = np.array(cur_rows)
-            trajectories.append(
-                FeatureTrajectory.from_arrays(cur_id, cur_frames, rows[:, :3], rows[:, 3:])
+    ``take`` reads a block with one ``str.split`` and three conversion
+    passes (ids, frames, the six floats); a block it cannot take whole (a
+    blank line, a malformed field, a broken rule) goes to ``replay``,
+    which reads it one record at a time and raises the first error at its
+    line. The track open at the end of a block carries over to the next.
+    """
+
+    def __init__(self):
+        self.done: list[FeatureTrajectory] = []
+        self.seen: set[int] = set()
+        self.id: int | None = None  # the open track
+        self.count = 0  # its rows so far
+        self.last = -1  # its last frame
+        self.pieces: list = []  # its (frames, position then normal) pieces
+
+    def flush(self) -> None:
+        """Close the open track, if any."""
+        if self.id is not None:
+            frames = np.concatenate([f for f, _ in self.pieces])
+            rows = np.concatenate([v for _, v in self.pieces])
+            self.done.append(
+                FeatureTrajectory.from_arrays(self.id, frames, rows[:, :3], rows[:, 3:])
             )
+            self.id = None
 
-    def record(parts):
-        nonlocal cur_id, cur_frames, cur_rows
+    def open(self, tid: int) -> None:
+        self.flush()
+        self.id, self.count, self.last, self.pieces = tid, 0, -1, []
+        self.seen.add(tid)
+
+    def extend(self, frames, rows) -> None:
+        self.pieces.append((frames, rows))
+        self.count += len(frames)
+        self.last = int(frames[-1])
+
+    def take(self, lines) -> bool:
+        """Read every line of a block at once; False, having read nothing,
+        unless each line is a well-formed record that breaks no rule."""
+        n = len(lines)
+        tokens = " | ".join(lines).split()  # "|" ends each line's 8 fields
+        if len(tokens) != 9 * n - 1 or tokens[8::9].count("|") != n - 1:
+            return False
+        try:
+            ids = np.fromiter(map(int, tokens[0::9]), np.int64, n)
+            frames = np.fromiter(map(int, tokens[1::9]), np.int64, n)
+            del tokens[8::9], tokens[0::8], tokens[0::7]  # leaves the 6 floats of each line
+            rows = np.fromiter(map(float, tokens), float, 6 * n).reshape(n, 6)
+            prev = np.empty(n, dtype=np.int64)  # the frame each row must exceed
+            prev[0], prev[1:] = self.last, frames[:-1]
+        except (ValueError, OverflowError):
+            return False
+        opens = np.empty(n, dtype=bool)  # rows that start a track
+        opens[0] = int(ids[0]) != self.id
+        opens[1:] = ids[1:] != ids[:-1]
+        heads = np.flatnonzero(opens).tolist()
+        prev[opens] = -1
+        new = ids[heads].tolist()
+        ends = heads[1:] + [n]
+        if (np.any(frames <= prev) or len(set(new)) < len(new) or not self.seen.isdisjoint(new)
+                or (opens[0] and self.id is not None and self.count < 2)
+                or any(e - h < 2 for h, e in zip(heads, ends[:-1]))):
+            return False
+        first = heads[0] if heads else n
+        if first:  # rows that continue the open track
+            self.extend(frames[:first], rows[:first])
+        for tid, h, e in zip(new, heads, ends):
+            self.open(tid)
+            self.extend(frames[h:e], rows[h:e])
+        return True
+
+    def record(self, parts) -> None:
+        """Read one record, checking it as ``take`` checks a block."""
         if len(parts) != 8:
             raise ValueError(f"expected 8 fields, got {len(parts)}")
         tid = int(parts[0])
         frame = int(parts[1])
         vals = [float(v) for v in parts[2:]]
-        if tid != cur_id:
-            flush()
-            if tid in seen:
+        if tid != self.id:
+            self.flush()
+            if tid in self.seen:
                 raise ValueError(f"duplicate id {tid}")
-            seen.add(tid)
-            cur_id, cur_frames, cur_rows = tid, [], []
-        if frame <= (cur_frames[-1] if cur_frames else -1):
+            self.open(tid)
+        if frame <= self.last:
             raise ValueError(f"trajectory {tid}: frame {frame} not increasing")
-        cur_frames.append(frame)
-        cur_rows.append(vals)
+        self.extend([frame], [vals])
 
-    (frame_rate,) = read_records(path, "traj", TRAJ_SCHEMA, record, flush, ("frame_rate",))
+    def replay(self, lines, start: int) -> None:
+        """Read a block one record at a time; its first line is line ``start``."""
+        _records(lines, start, self.record)
+
+
+_BLOCK = 128  # .traj lines that load splits and converts together
+
+
+def load(path: str) -> Demonstration:
+    """Read a ``.traj`` file, block by block; loads the ``.gt`` sidecar when present."""
+    lines, (frame_rate,) = _read_header(path, "traj", TRAJ_SCHEMA, ("frame_rate",))
+    tracks = _Tracks()
+    for start in range(1, len(lines), _BLOCK):
+        block = lines[start:start + _BLOCK]
+        if not tracks.take(block):
+            tracks.replay(block, start + 1)
+    _at_line(len(lines) + 1, tracks.flush)
     gt_path = gt_path_for(path)
     gt = load_ground_truth(gt_path) if os.path.exists(gt_path) else None
     try:
-        return Demonstration(trajectories, frame_rate, gt)
+        return Demonstration(tracks.done, frame_rate, gt)
     except ValueError as exc:  # the ground truth does not label every trajectory
         raise ParseError(f"{gt_path}: {exc}") from None
 
@@ -325,6 +425,8 @@ def load_ground_truth(path: str) -> GroundTruth:
             if kind not in JOINT_KINDS:
                 raise ValueError(f"unknown joint kind {kind!r}")
             vals = [float(v) for v in parts[4:]]
+            if len(vals) != 6:
+                raise ValueError("joint record needs 6 floats")
             joints[key] = {
                 "kind": kind,
                 "axis": np.array(vals[:3]),
@@ -349,7 +451,9 @@ def load_ground_truth(path: str) -> GroundTruth:
     gt_joints = []
     for key, info in joints.items():
         by_frame = configs.get(key, {})
-        qs = np.array([by_frame[f] for f in sorted(by_frame)])
+        if sorted(by_frame) != list(range(len(by_frame))):
+            raise ParseError(f"joint {key}: config frames not contiguous from 0")
+        qs = np.array([by_frame[f] for f in range(len(by_frame))])
         gt_joints.append(
             GroundTruthJoint(key[0], key[1], info["kind"], info["axis"], info["origin"], qs)
         )

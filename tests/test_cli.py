@@ -396,6 +396,26 @@ class TestCrashPaths:
         assert code == 2
         assert err.startswith("error: line 1: ") and "'fast'" in err
 
+    def test_short_joint_record_exits_2(self, door_files, tmp_path):
+        # an origin of 2 floats once reached eval and crashed there
+        def short_joint(lines):
+            return [l.rsplit(" ", 1)[0] if l.startswith("joint ") else l for l in lines]
+
+        p = door_copy(door_files, tmp_path, "joint5", edit_gt=short_joint)
+        with open(trajectories.gt_path_for(p)) as f:
+            line = 1 + next(i for i, l in enumerate(f) if l.startswith("joint "))
+        _, db, _ = door_files
+        code, _, err = run(["eval", db, p, "--object", "door"])
+        assert (code, err) == (2, f"error: line {line}: joint record needs 6 floats\n")
+
+    def test_missing_config_frame_exits_2(self, door_files, tmp_path):
+        # without frame 5, the configurations from frame 5 on were shifted by one
+        p = door_copy(door_files, tmp_path, "config-gap",
+                      edit_gt=lambda lines: [l for l in lines if not l.startswith("config 0 1 5 ")])
+        _, db, _ = door_files
+        code, _, err = run(["eval", db, p, "--object", "door"])
+        assert (code, err) == (2, "error: joint (0, 1): config frames not contiguous from 0\n")
+
     def test_non_numeric_schedule_exits_2(self, door_files, tmp_path):
         _, db, _ = door_files
         sched = tmp_path / "sched.txt"

@@ -21,7 +21,10 @@ from kinlearn.geometry import (
     quat_canonical,
     quat_from_matrix,
     quat_from_rotvec,
+    quat_mul,
+    quat_normalize,
     quat_rotate,
+    quat_to_rotvec,
     relative,
     rotation_angle,
 )
@@ -373,6 +376,138 @@ class TestBatchedKernels:
         q[holes] = rng.choice([0.0, -0.0, np.nan], size=holes.sum())
         assert quat_canonical(q).tobytes() == reference_quat_canonical(q).tobytes()
         assert quat_canonical(q[3]).tobytes() == reference_quat_canonical(q[3]).tobytes()
+
+
+# The kernels as they were written with numpy's wrapper functions
+# (moveaxis, stack, take_along_axis, linalg.norm): the lean kernels must
+# keep their bits.
+
+
+def wrapper_quat_mul(a, b):
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
+
+
+def wrapper_quat_rotate(q, v):
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    sx = (y * vz - z * vy) + w * vx
+    sy = (z * vx - x * vz) + w * vy
+    sz = (x * vy - y * vx) + w * vz
+    return np.stack(
+        [vx + 2.0 * (y * sz - z * sy), vy + 2.0 * (z * sx - x * sz), vz + 2.0 * (x * sy - y * sx)],
+        axis=-1,
+    )
+
+
+def wrapper_quat_canonical(q):
+    first = np.argmax(q != 0.0, axis=-1)[..., None]
+    sign = np.sign(np.take_along_axis(q, first, axis=-1))
+    return q * np.where(sign == 0.0, 1.0, sign)
+
+
+def wrapper_quat_normalize(q):
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def wrapper_quat_from_rotvec(v):
+    angle = np.linalg.norm(v, axis=-1)
+    half = 0.5 * angle
+    small = angle < 1e-8
+    safe = np.where(small, 1.0, angle)
+    k = np.where(small, 0.5 - angle**2 / 48.0, np.sin(half) / safe)
+    w = np.cos(half)
+    return wrapper_quat_canonical(np.concatenate([w[..., None], v * k[..., None]], axis=-1))
+
+
+def wrapper_quat_to_rotvec(q):
+    q = wrapper_quat_canonical(q)
+    u = q[..., 1:]
+    n = np.linalg.norm(u, axis=-1)
+    angle = 2.0 * np.arctan2(n, q[..., 0])
+    small = n < 1e-12
+    scale = np.where(small, 2.0, angle / np.where(small, 1.0, n))
+    return u * scale[..., None]
+
+
+def wrapper_quat_angle(q):
+    return 2.0 * np.arctan2(np.linalg.norm(q[..., 1:], axis=-1), np.abs(q[..., 0]))
+
+
+def awkward_quaternions(rng, n=400):
+    """Random rows plus zeros, signed zeros, NaN rows and rows whose
+    leading components are zeros of either sign (first-component ties)."""
+    q = rng.normal(size=(n, 4))
+    holes = rng.random(size=q.shape) < 0.3
+    q[holes] = rng.choice([0.0, -0.0], size=holes.sum())
+    q[::17] = np.nan
+    q[5::23, 1] = np.nan
+    q[::29] = 0.0
+    q[1::29] = -0.0
+    q[2::31, :3] = rng.choice([0.0, -0.0], size=(len(q[2::31]), 3))
+    q[3::37, :2] = 0.0
+    q[4::41] = [-0.0, 0.0, -1.5, 1.5]
+    return q
+
+
+class TestLeanKernels:
+    """Each kernel equals its numpy-wrapper form bit for bit."""
+
+    SHAPES = [((400, 4), (400, 4)), ((4,), (400, 4)), ((400, 4), (4,)),
+              ((6, 1, 4), (400, 4)), ((4,), (4,))]
+
+    @staticmethod
+    def same(got, ref):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def operands(self, seed, a_shape, b_shape, last=4):
+        rng = np.random.default_rng(seed)
+        a = awkward_quaternions(rng, int(np.prod(a_shape[:-1]))).reshape(a_shape)
+        b = awkward_quaternions(rng, int(np.prod(b_shape[:-1]))).reshape(b_shape)
+        return a, b[..., :last]
+
+    @pytest.mark.parametrize("a_shape, b_shape", SHAPES)
+    def test_quat_mul(self, a_shape, b_shape):
+        a, b = self.operands(1, a_shape, b_shape)
+        with np.errstate(all="ignore"):
+            self.same(quat_mul(a, b), wrapper_quat_mul(a, b))
+
+    @pytest.mark.parametrize("a_shape, b_shape", SHAPES)
+    def test_quat_rotate(self, a_shape, b_shape):
+        q, v = self.operands(2, a_shape, b_shape, last=3)
+        with np.errstate(all="ignore"):
+            self.same(quat_rotate(q, v), wrapper_quat_rotate(q, v))
+
+    @pytest.mark.parametrize("shape", [(400, 4), (4,), (20, 5, 4)])
+    def test_one_operand_kernels(self, shape):
+        q = awkward_quaternions(np.random.default_rng(3))
+        inputs = list(q) if len(shape) == 1 else [q[:int(np.prod(shape[:-1]))].reshape(shape)]
+        with np.errstate(all="ignore"):
+            for q in inputs:
+                self.same(quat_canonical(q), wrapper_quat_canonical(q))
+                self.same(quat_normalize(q), wrapper_quat_normalize(q))
+                self.same(quat_to_rotvec(q), wrapper_quat_to_rotvec(q))
+                self.same(quat_angle(q), wrapper_quat_angle(q))
+                self.same(quat_from_rotvec(q[..., 1:]), wrapper_quat_from_rotvec(q[..., 1:]))
+
+    def test_rotation_vectors_near_zero(self):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-12, 1, size=(300, 1))
+        v[::7] = 0.0
+        v[1::7] = -0.0
+        self.same(quat_from_rotvec(v), wrapper_quat_from_rotvec(v))
+        q = wrapper_quat_from_rotvec(v)
+        self.same(quat_to_rotvec(q), wrapper_quat_to_rotvec(q))
 
 
 class TestAngles:

@@ -304,6 +304,24 @@ class TestPredict:
             predict(graph, {(0, 1): np.array([0.5, 1.5, -0.5])})
         assert [str(w.message).split(":")[0] for w in caught] == ["edge (0, 1)"]
 
+    def test_extrapolation_message_of_long_sweep_is_short(self):
+        hinge = JointModel(
+            "revolute",
+            {"axis": np.array([0.0, 0.0, 1.0]), "center": np.zeros(3),
+             "base": Pose(t=[0.5, 0.0, 0.0])},
+            9, 0.0, 0.0, np.array([0.0, 1.0]),
+        )
+        graph = KinematicGraph("door", (0, 1), ((0, 1, hinge),))
+        sweep = np.linspace(-1.0, 3.0, 10_000)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            predict(graph, {(0, 1): sweep})
+        (message,) = [str(w.message) for w in caught]
+        outside = int(np.count_nonzero((sweep < 0.0) | (sweep > 1.0)))
+        assert message == (f"edge (0, 1): {outside} of 10000 configuration(s) outside "
+                           "observed range [0.0, 1.0], extrapolating")
+        assert len(message) < 120
+
     def test_missing_configuration(self):
         demo, assignment, seqs, graph = run_pipeline("door")
         with pytest.raises(MissingConfiguration):

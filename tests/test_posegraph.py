@@ -380,6 +380,39 @@ class TestBatchedDeltas:
             estimate_delta(fset(0, range(6), line), fset(1, range(6), line + 0.01))
 
 
+class TestDeltaStack:
+    """``_estimate_deltas`` normalises all deltas of a cluster in one ``Pose``
+    call, NaN rows of degenerate pairs included; every item must still be
+    the one-pair result, as when each delta was normalised on its own."""
+
+    def test_degenerate_pairs_among_deltas(self):
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-0.5, 0.5, size=(12, 3))
+        step = Pose.from_rotvec([0.05, -0.1, 0.2], [0.01, 0.02, -0.03])
+        line, moved = collinear_after_reselection()
+        frames = [fset(0, range(12), pts)]
+        for f in range(1, 24):
+            frames.append(fset(f, range(12), apply_pose(step, frames[-1].positions)))
+        for f in (4, 14):  # a collinear pair between two pairs without common features
+            frames[f] = fset(f, range(100, 112), line)
+            frames[f + 1] = fset(f + 1, range(100, 112), moved)
+        frames[9] = fset(9, [0, 1, 50, 51], np.vstack([frames[9].positions[:2], pts[:2]]))
+        pairs, batched = TestBatchedDeltas().assert_matches_reference(frames, seed=5)
+        kinds = [type(r).__name__ for r in batched]
+        assert kinds.count("DegenerateGeometry") == 2
+        assert kinds.count("InsufficientCorrespondences") >= 6
+        ids, positions, valid = pack(frames)
+        for (_, a, b), got in zip(pairs, batched):
+            (alone,) = _estimate_deltas(ids, positions, valid, np.array([a.frame]),
+                                        np.array([b.frame]), 0.01, 5)
+            if isinstance(got, Exception):
+                assert type(alone) is type(got)
+            else:
+                assert got[0].q.tobytes() == alone[0].q.tobytes()
+                assert got[0].t.tobytes() == alone[0].t.tobytes()
+                assert got[1] == alone[1]
+
+
 def reference_perturb(q, t, axis, eps):
     """Left-multiply each pose by exp(eps * e_axis) in the decoupled chart."""
     if axis < 3:

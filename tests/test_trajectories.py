@@ -397,3 +397,150 @@ class TestRecordFiles:
         with pytest.raises(ParseError, match="^line 4: ") as err:
             self.load(tmp_path, suffix, [header.format(1), records[0], "", bad])
         assert err.value.line == 4
+
+
+def read_per_record(path, monkeypatch):
+    """``load`` with every block read one record at a time: the reference
+    that the block reader must reproduce, result and error alike."""
+    with monkeypatch.context() as m:
+        m.setattr(trajectories._Tracks, "take", lambda self, lines: False)
+        return outcome(path)
+
+
+def outcome(path):
+    """(trajectory ids and bytes, frame rate) of a load, or its error."""
+    try:
+        demo = load(path)
+    except Exception as exc:  # the error is part of what must match
+        return type(exc).__name__, str(exc)
+    return [(t.id, t.observations.tobytes()) for t in demo.trajectories], demo.frame_rate
+
+
+class TestBlockReader:
+    """``load`` parses a block of lines at once; every block size must read
+    what the one-record-at-a-time path reads and raise what it raises."""
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        # dropout leaves tracks of unequal lengths with frame gaps
+        spec = synth.default_specs()["door"].with_noise(sigma_pos=0.002, dropout=0.1)
+        demo = synth.generate(dataclasses.replace(spec, features_per_part=4), frames=12, seed=3)
+        path = tmp_path / "door.traj"
+        save(demo, str(path), with_ground_truth=False)
+        return path.read_text().splitlines()
+
+    @staticmethod
+    def edit(lines, i, k, value):
+        """``lines`` with field k of line i (0-based, header included) replaced."""
+        parts = lines[i].split()
+        parts[k] = value
+        return lines[:i] + [" ".join(parts)] + lines[i + 1:]
+
+    def cases(self, lines):
+        ids = [line.split()[0] for line in lines]
+        # the first lines of the second and third tracks
+        start, after = [i for i in range(2, len(ids)) if ids[i] != ids[i - 1]][:2]
+        return {
+            "clean": lines,
+            "blank lines": lines[:3] + ["", "  \t"] + lines[3:20] + [""] + lines[20:],
+            "non-integer id": self.edit(lines, 30, 0, "x"),
+            "non-integer frame": self.edit(lines, 30, 1, "3.0"),
+            "non-numeric position": self.edit(lines, 41, 3, "abc"),
+            "python float text": self.edit(self.edit(lines, 17, 2, "1_0.5"), 18, 7, " +inf"),
+            "7 fields": lines[:25] + [lines[25].rsplit(" ", 1)[0]] + lines[26:],
+            "9 fields": lines[:25] + [lines[25] + " 0.5"] + lines[26:],
+            "7 then 9 fields": lines[:25] + [lines[25].rsplit(" ", 1)[0], lines[26] + " 1"]
+            + lines[27:],
+            "separator token": lines[:9] + ["| " + lines[9]] + lines[10:],
+            "duplicate id": lines + lines[1:3],
+            "non-increasing frame": lines[:start + 1] + [lines[start + 2], lines[start + 1]]
+            + lines[start + 3:],
+            "negative frame": self.edit(lines, start, 1, "-2"),
+            "one-observation track": lines[:start + 1] + lines[after:],
+            "one-observation last track": lines + [self.edit(lines, 1, 0, "999")[1]],
+            "blank line before an error": lines[:5] + [""] + self.edit(lines, 9, 4, "?")[5:],
+            "frame past int64, then smaller": self.edit(lines, 6, 1, str(2**70)),
+            "id past int64": [lines[0]] + [f"{2**70} {line.split(' ', 1)[1]}"
+                                           for line in lines[1:start]] + lines[start:],
+        }
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 512])
+    def test_same_result_as_per_record(self, tmp_path, monkeypatch, lines, block):
+        monkeypatch.setattr(trajectories, "_BLOCK", block)
+        for name, text in self.cases(lines).items():
+            path = tmp_path / f"case-{block}.traj"
+            path.write_text("\n".join(text) + "\n")
+            assert outcome(str(path)) == read_per_record(str(path), monkeypatch), name
+
+    def test_errors_name_their_line(self, tmp_path, monkeypatch, lines):
+        monkeypatch.setattr(trajectories, "_BLOCK", 4)
+        path = tmp_path / "bad.traj"
+        path.write_text("\n".join(self.cases(lines)["blank line before an error"]) + "\n")
+        with pytest.raises(ParseError, match="^line 11: could not convert string to float: '\\?'"):
+            load(str(path))
+
+    def test_clean_file_reads_every_block_whole(self, tmp_path, monkeypatch, lines):
+        # no block of a well-formed file falls back to the per-record path
+        path = tmp_path / "door.traj"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(trajectories, "_BLOCK", 3)
+        monkeypatch.setattr(trajectories._Tracks, "replay", None)
+        demo = load(str(path))
+        assert sum(len(t.observations) for t in demo.trajectories) == len(lines) - 1
+
+    def test_peak_memory_bounded(self, tmp_path):
+        # 900 frames x 120 tracks: the reader's peak stays within 1.25x that
+        # of reading the same records with the generic per-line reader
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        frames = np.arange(900)
+        tracks = [FeatureTrajectory.from_arrays(i, frames, rng.normal(size=(900, 3)),
+                                                [0.0, 0.0, 1.0]) for i in range(120)]
+        path = str(tmp_path / "big.traj")
+        save(trajectories.Demonstration(tracks), path)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        generic = peak(lambda: trajectories.read_records(
+            path, "traj", trajectories.TRAJ_SCHEMA, lambda parts: None, fields=("frame_rate",)))
+        assert peak(lambda: load(path)) <= 1.25 * generic
+
+
+class TestGroundTruthRecords:
+    @pytest.fixture
+    def gt_lines(self, tmp_path):
+        demo = synth.generate(synth.default_specs()["door"], frames=10, seed=1)
+        save_path = tmp_path / "door.traj"
+        save(demo, str(save_path))
+        return (tmp_path / "door.gt").read_text().splitlines()
+
+    def load_gt(self, tmp_path, lines):
+        path = tmp_path / "edited.gt"
+        path.write_text("\n".join(lines) + "\n")
+        return load_ground_truth(str(path))
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_joint_needs_6_floats(self, tmp_path, gt_lines, change):
+        i = next(i for i, line in enumerate(gt_lines) if line.startswith("joint "))
+        joint = gt_lines[i].rsplit(" ", 1)[0] if change < 0 else gt_lines[i] + " 0.0"
+        with pytest.raises(ParseError, match="joint record needs 6 floats") as err:
+            self.load_gt(tmp_path, gt_lines[:i] + [joint] + gt_lines[i + 1:])
+        assert err.value.line == i + 1
+
+    def test_config_frames_contiguous(self, tmp_path, gt_lines):
+        i = next(i for i, line in enumerate(gt_lines)
+                 if line.startswith("config ") and line.split()[3] == "5")
+        with pytest.raises(ParseError, match=r"joint \(0, 1\): config frames not contiguous"):
+            self.load_gt(tmp_path, gt_lines[:i] + gt_lines[i + 1:])
+
+    def test_config_order_free(self, tmp_path, gt_lines):
+        first = next(i for i, line in enumerate(gt_lines) if line.startswith("config "))
+        shuffled = gt_lines[:first] + gt_lines[first:][::-1]
+        assert self.load_gt(tmp_path, shuffled) == self.load_gt(tmp_path, gt_lines)

@@ -8,7 +8,8 @@ segment, learn --dump-similarity, predict (a short sweep and a 401-row one
 that runs from negative configurations past the observed range) and eval,
 a fridge at 40 % dropout through segment and learn --dump-similarity,
 the rough drawer and monitor through learn at --sparse-stride 1 and 3,
-plus the error paths of every subcommand.
+plus the error paths of every subcommand, malformed ``.traj`` and ``.gt``
+records among them.
 
 The commands run in-process through ``kinlearn.cli.main``, taken from
 whichever ``kinlearn`` is first on the import path. Warnings are written
@@ -142,6 +143,36 @@ def make_bad_inputs() -> None:
     write("order.traj", "\n".join([lines[0], lines[2], lines[1]] + lines[3:]) + "\n")
     write("lone.traj", "\n".join(lines[:2] + lines[1 + len(first_track):]) + "\n")
     write("bare.traj", traj)
+    # .traj records that the reader rejects or skips, in the first and in later
+    # blocks of lines, and a one-observation track closed in the next block
+    body = lines[1:]
+
+    def field(i, k, value):  # body line i with field k replaced
+        parts = body[i].split()
+        parts[k] = value
+        return body[:i] + [" ".join(parts)] + body[i + 1:]
+
+    write("id-text.traj", "\n".join([lines[0]] + field(700, 0, "x")) + "\n")
+    write("pos-text.traj", "\n".join([lines[0]] + field(3, 2, "abc")) + "\n")
+    write("neg-frame.traj", "\n".join([lines[0]] + field(0, 1, "-1")) + "\n")
+    write("blank.traj", "\n".join([lines[0]] + body[:1] + [""] + body[1:598] + ["  \t"]
+                                   + body[598:]) + "\n")
+    write("order-late.traj", "\n".join([lines[0]] + body[:518] + [""] + body[518:800]
+                                        + [body[801], body[800]] + body[802:]) + "\n")
+    ids = [row.split()[0] for row in body]
+    s = max(i for i in range(512) if i == 0 or ids[i] != ids[i - 1])  # last track start in block 1
+    e = next(i for i in range(s, len(ids)) if ids[i] != ids[s])
+    write("lone-late.traj", "\n".join([lines[0]] + body[:s] + [""] * (511 - s) + [body[s]]
+                                       + body[e:]) + "\n")
+    # .gt records: a joint with 5 floats, a joint missing the config of frame 5
+    joint = next(i for i, l in enumerate(gt_lines) if l.startswith("joint "))
+    config = next(i for i, l in enumerate(gt_lines) if l.startswith("config 0 1 5 "))
+    for name, gt_text in (
+        ("joint5", gt_lines[:joint] + [gt_lines[joint].rsplit(" ", 1)[0]] + gt_lines[joint + 1:]),
+        ("config-gap", gt_lines[:config] + gt_lines[config + 1:]),
+    ):
+        write(f"{name}.traj", traj)
+        write(f"{name}.gt", "\n".join(gt_text) + "\n")
     write("sched-bad.txt", "0.1\nabc\n")
     write("sched-cols.txt", "0.1 0.2\n")
     write("sched-monitor.txt", "0.1 0.2\n0.3 0.4\n")
@@ -184,6 +215,12 @@ def error_commands():
         ["segment", "dup-id.traj"],
         ["segment", "order.traj"],
         ["segment", "lone.traj"],
+        ["segment", "id-text.traj"],
+        ["segment", "pos-text.traj"],
+        ["segment", "neg-frame.traj"],
+        ["segment", "blank.traj"],
+        ["segment", "order-late.traj"],
+        ["segment", "lone-late.traj"],
         ["learn", "one.traj", *door, "--dump-similarity", "one.sim.csv", "-o", "one.db"],
         ["learn", "zero.traj", *door, "-o", "zero.db"],
         ["learn", "v9.traj", *door, "-o", "v9.out.db"],
@@ -192,6 +229,8 @@ def error_commands():
          "-o", "seed-neg.db"],
         ["eval", "door-clean.db", "one.traj", "door-clean.traj", *door],
         ["eval", "door-clean.db", "bare.traj", *door],
+        ["eval", "door-clean.db", "joint5.traj", *door],
+        ["eval", "door-clean.db", "config-gap.traj", *door],
         ["eval", "door-clean.db", "missing.traj", *door],
         ["eval", "door-clean.db", "door-clean.traj", "--object", "toaster"],
         ["eval", "corrupt.db", "door-clean.traj", *door],
