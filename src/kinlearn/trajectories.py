@@ -28,14 +28,14 @@ writes every file, and ``read_records`` reads every record file (``.gt`` and
 the model database) one line at a time, checking its header and schema and
 reporting parse errors with their line numbers.
 
-``load`` checks a ``.traj`` header the same way, then reads the body in
-blocks of at most ``_BLOCK`` lines: one ``str.split`` per block, one
-``int``/``float`` conversion pass per field group with Python's text
-rules, and each track built from slices of the block's arrays, so the
-parse's temporaries stay bounded whatever the file's size. A block that
-holds a blank line or breaks a rule is read again one record at a time,
-which raises the first error with the message and line number that the
-per-record reader gives.
+``load`` checks a ``.traj`` header the same way, parses the body into
+columns (id, frame, six floats, line number) up to its first malformed
+line, with Python's text rules, and then checks each rule of the format
+once, on the columns: a track's records are adjacent and its id heads no
+other track, its frames increase strictly from 0 or more, it holds at
+least 2 records, and every id and frame fits in int64. The first error in
+file order is raised with its line number; each track is built from
+slices of the columns.
 """
 
 from __future__ import annotations
@@ -229,15 +229,6 @@ def _at_line(lineno: int, fn, *args):
         raise ParseError(str(exc), line=lineno) from None
 
 
-def _records(lines, start: int, record) -> None:
-    """``record(parts)`` with the split fields of every non-blank line of
-    ``lines``, the first of which is line ``start`` of its file."""
-    for lineno, raw in enumerate(lines, start):
-        parts = raw.split()
-        if parts:
-            _at_line(lineno, record, parts)
-
-
 def read_records(path: str, tag: str, schema: int, record, finish=None, fields=()):
     """Read a record file whose header is ``<tag> <schema> <fields...>``.
 
@@ -249,7 +240,10 @@ def read_records(path: str, tag: str, schema: int, record, finish=None, fields=(
     Returns the header's ``fields`` parsed as floats (errors: line 1).
     """
     lines, values = _read_header(path, tag, schema, fields)
-    _records(itertools.islice(lines, 1, None), 2, record)
+    for lineno, raw in enumerate(itertools.islice(lines, 1, None), 2):
+        parts = raw.split()
+        if parts:
+            _at_line(lineno, record, parts)
     if finish is not None:
         _at_line(len(lines) + 1, finish)
     return values
@@ -289,116 +283,107 @@ def save_ground_truth(gt: GroundTruth, path: str) -> None:
     write_lines(path, lines)
 
 
-class _Tracks:
-    """The trajectories of a ``.traj`` body, read a block of lines at a time.
+def _record(parts):
+    """(id, frame, the six floats) of one split ``.traj`` record."""
+    if len(parts) != 8:
+        raise ValueError(f"expected 8 fields, got {len(parts)}")
+    tid, frame = int(parts[0]), int(parts[1])
+    values = [float(v) for v in parts[2:]]
+    for name, v in (("id", tid), ("frame", frame)):
+        if not -2**63 <= v < 2**63:
+            raise ValueError(f"{name} {v} does not fit in int64")
+    return tid, frame, values
 
-    ``take`` reads a block with one ``str.split`` and three conversion
-    passes (ids, frames, the six floats); a block it cannot take whole (a
-    blank line, a malformed field, a broken rule) goes to ``replay``,
-    which reads it one record at a time and raises the first error at its
-    line. The track open at the end of a block carries over to the next.
+
+_BLOCK = 128  # .traj lines that _body splits and converts together
+
+
+def _body(lines):
+    """The records of a ``.traj`` file's ``lines`` (header first) as columns.
+
+    Returns ``(ids, frames, values, linenos, error)``: the id, frame, six
+    floats (position then normal) and line number of every record before
+    the first malformed line, and that line's ``ParseError`` (None if no
+    line is malformed). A block of ``_BLOCK`` lines is read with one
+    ``str.split`` and one conversion pass per field group; a block that
+    this cannot read whole is read again with ``_record``, line by line.
     """
-
-    def __init__(self):
-        self.done: list[FeatureTrajectory] = []
-        self.seen: set[int] = set()
-        self.id: int | None = None  # the open track
-        self.count = 0  # its rows so far
-        self.last = -1  # its last frame
-        self.pieces: list = []  # its (frames, position then normal) pieces
-
-    def flush(self) -> None:
-        """Close the open track, if any."""
-        if self.id is not None:
-            frames = np.concatenate([f for f, _ in self.pieces])
-            rows = np.concatenate([v for _, v in self.pieces])
-            self.done.append(
-                FeatureTrajectory.from_arrays(self.id, frames, rows[:, :3], rows[:, 3:])
-            )
-            self.id = None
-
-    def open(self, tid: int) -> None:
-        self.flush()
-        self.id, self.count, self.last, self.pieces = tid, 0, -1, []
-        self.seen.add(tid)
-
-    def extend(self, frames, rows) -> None:
-        self.pieces.append((frames, rows))
-        self.count += len(frames)
-        self.last = int(frames[-1])
-
-    def take(self, lines) -> bool:
-        """Read every line of a block at once; False, having read nothing,
-        unless each line is a well-formed record that breaks no rule."""
-        n = len(lines)
-        tokens = " | ".join(lines).split()  # "|" ends each line's 8 fields
-        if len(tokens) != 9 * n - 1 or tokens[8::9].count("|") != n - 1:
-            return False
-        try:
-            ids = np.fromiter(map(int, tokens[0::9]), np.int64, n)
-            frames = np.fromiter(map(int, tokens[1::9]), np.int64, n)
-            del tokens[8::9], tokens[0::8], tokens[0::7]  # leaves the 6 floats of each line
-            rows = np.fromiter(map(float, tokens), float, 6 * n).reshape(n, 6)
-            prev = np.empty(n, dtype=np.int64)  # the frame each row must exceed
-            prev[0], prev[1:] = self.last, frames[:-1]
-        except (ValueError, OverflowError):
-            return False
-        opens = np.empty(n, dtype=bool)  # rows that start a track
-        opens[0] = int(ids[0]) != self.id
-        opens[1:] = ids[1:] != ids[:-1]
-        heads = np.flatnonzero(opens).tolist()
-        prev[opens] = -1
-        new = ids[heads].tolist()
-        ends = heads[1:] + [n]
-        if (np.any(frames <= prev) or len(set(new)) < len(new) or not self.seen.isdisjoint(new)
-                or (opens[0] and self.id is not None and self.count < 2)
-                or any(e - h < 2 for h, e in zip(heads, ends[:-1]))):
-            return False
-        first = heads[0] if heads else n
-        if first:  # rows that continue the open track
-            self.extend(frames[:first], rows[:first])
-        for tid, h, e in zip(new, heads, ends):
-            self.open(tid)
-            self.extend(frames[h:e], rows[h:e])
-        return True
-
-    def record(self, parts) -> None:
-        """Read one record, checking it as ``take`` checks a block."""
-        if len(parts) != 8:
-            raise ValueError(f"expected 8 fields, got {len(parts)}")
-        tid = int(parts[0])
-        frame = int(parts[1])
-        vals = [float(v) for v in parts[2:]]
-        if tid != self.id:
-            self.flush()
-            if tid in self.seen:
-                raise ValueError(f"duplicate id {tid}")
-            self.open(tid)
-        if frame <= self.last:
-            raise ValueError(f"trajectory {tid}: frame {frame} not increasing")
-        self.extend([frame], [vals])
-
-    def replay(self, lines, start: int) -> None:
-        """Read a block one record at a time; its first line is line ``start``."""
-        _records(lines, start, self.record)
-
-
-_BLOCK = 128  # .traj lines that load splits and converts together
+    size = len(lines)
+    ids, frames = np.empty(size, np.int64), np.empty(size, np.int64)
+    values, linenos = np.empty((size, 6)), np.empty(size, np.int64)
+    n = 0  # records read
+    for start in range(1, size, _BLOCK):
+        block = lines[start:start + _BLOCK]
+        k = len(block)
+        tokens = " | ".join(block).split()  # "|" ends each line's 8 fields
+        if len(tokens) == 9 * k - 1 and tokens[8::9].count("|") == k - 1:
+            try:
+                ids[n:n + k] = np.fromiter(map(int, tokens[0::9]), np.int64, k)
+                frames[n:n + k] = np.fromiter(map(int, tokens[1::9]), np.int64, k)
+                del tokens[8::9], tokens[0::8], tokens[0::7]  # leaves the 6 floats of each line
+                values[n:n + k] = np.fromiter(map(float, tokens), float, 6 * k).reshape(k, 6)
+            except (ValueError, OverflowError):
+                pass
+            else:
+                linenos[n:n + k] = np.arange(start + 1, start + 1 + k)
+                n += k
+                continue
+        for lineno, raw in enumerate(block, start + 1):
+            parts = raw.split()
+            if not parts:
+                continue
+            try:
+                ids[n], frames[n], values[n] = _record(parts)
+            except ValueError as exc:
+                return ids[:n], frames[:n], values[:n], linenos[:n], ParseError(str(exc), lineno)
+            linenos[n] = lineno
+            n += 1
+    return ids[:n], frames[:n], values[:n], linenos[:n], None
 
 
 def load(path: str) -> Demonstration:
-    """Read a ``.traj`` file, block by block; loads the ``.gt`` sidecar when present."""
+    """Read a ``.traj`` file; loads the ``.gt`` sidecar when present.
+
+    Parses the body up to its first malformed line (an id or frame out of
+    int64 among them), then raises the first error in file order: a
+    one-record track (at the next track's head), an id that heads a second
+    track, a frame not above its track's last one or negative; then the
+    malformed line; then a one-record last track (at the line past the end).
+    """
     lines, (frame_rate,) = _read_header(path, "traj", TRAJ_SCHEMA, ("frame_rate",))
-    tracks = _Tracks()
-    for start in range(1, len(lines), _BLOCK):
-        block = lines[start:start + _BLOCK]
-        if not tracks.take(block):
-            tracks.replay(block, start + 1)
-    _at_line(len(lines) + 1, tracks.flush)
+    end = len(lines) + 1
+    ids, frames, values, linenos, error = _body(lines)
+    del lines
+    n = len(ids)
+    opens = np.ones(n, dtype=bool)  # rows that head a track
+    opens[1:] = ids[1:] != ids[:-1]
+    late = np.flatnonzero(frames <= np.where(opens, -1, np.roll(frames, 1)))
+    first = int(late[0]) if len(late) else n  # the first row out of order
+    heads = np.flatnonzero(opens).tolist()
+    tids = ids[heads].tolist()
+    seen = set()
+    for i, (h, tid) in enumerate(zip(heads, tids)):
+        if h > first:
+            break
+        if i and h - heads[i - 1] < 2:
+            raise ParseError(f"trajectory {tids[i - 1]} has fewer than 2 observations",
+                             int(linenos[h]))
+        if tid in seen:
+            raise ParseError(f"duplicate id {tid}", int(linenos[h]))
+        seen.add(tid)
+    if first < n:
+        raise ParseError(f"trajectory {ids[first]}: frame {frames[first]} not increasing",
+                         int(linenos[first]))
+    if error is not None:
+        raise error
+    if heads and n - heads[-1] < 2:
+        raise ParseError(f"trajectory {tids[-1]} has fewer than 2 observations", end)
+    tracks = [FeatureTrajectory.from_arrays(tid, frames[h:e], values[h:e, :3], values[h:e, 3:])
+              for tid, h, e in zip(tids, heads, heads[1:] + [n])]
     gt_path = gt_path_for(path)
     gt = load_ground_truth(gt_path) if os.path.exists(gt_path) else None
     try:
-        return Demonstration(tracks.done, frame_rate, gt)
+        return Demonstration(tracks, frame_rate, gt)
     except ValueError as exc:  # the ground truth does not label every trajectory
         raise ParseError(f"{gt_path}: {exc}") from None
 

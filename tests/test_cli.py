@@ -416,6 +416,23 @@ class TestCrashPaths:
         code, _, err = run(["eval", db, p, "--object", "door"])
         assert (code, err) == (2, "error: joint (0, 1): config frames not contiguous from 0\n")
 
+    @pytest.mark.parametrize("field", ["id", "frame"])
+    def test_past_int64_exits_2(self, door_files, tmp_path, field):
+        # the first track's ids, or its last frame, past int64: once an
+        # uncaught OverflowError (exit 1)
+        track = [i for i, l in enumerate(open(door_files[0]).read().splitlines())
+                 if l.split()[0] == "0"]
+        edited, k = (track, 0) if field == "id" else (track[-1:], 1)
+
+        def past_int64(lines):
+            return [" ".join(l.split()[:k] + [str(10**20)] + l.split()[k + 1:])
+                    if i in edited else l for i, l in enumerate(lines)]
+
+        p = door_copy(door_files, tmp_path, f"{field}-int64", edit_traj=past_int64)
+        code, _, err = run(["segment", p])
+        assert (code, err) == (
+            2, f"error: line {edited[0] + 1}: {field} {10**20} does not fit in int64\n")
+
     def test_non_numeric_schedule_exits_2(self, door_files, tmp_path):
         _, db, _ = door_files
         sched = tmp_path / "sched.txt"

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -346,6 +347,24 @@ class TestSerialization:
         with pytest.raises(ParseError, match="frame -1 not increasing"):
             load(str(path))
 
+    @staticmethod
+    def two_records(path, tid, frame):
+        path.write_text(f"traj 1 30.0\n{tid} 0 0 0 0 0 0 1\n{tid} {frame} 0 0 0 0 0 1\n")
+        return str(path)
+
+    @pytest.mark.parametrize("tid, frame", [(2**63 - 1, 1), (-2**63, 1), (0, 2**63 - 1)])
+    def test_int64_limits_load(self, tmp_path, tid, frame):
+        (track,) = load(self.two_records(tmp_path / "edge.traj", tid, frame)).trajectories
+        assert track.id == tid and track.frames.tolist() == [0, frame]
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+    def test_past_int64_is_parse_error(self, tmp_path, value):
+        path = tmp_path / "past.traj"
+        with pytest.raises(ParseError, match=f"^line 2: id {value} does not fit in int64$"):
+            load(self.two_records(path, value, 1))
+        with pytest.raises(ParseError, match=f"^line 3: frame {value} does not fit in int64$"):
+            load(self.two_records(path, 0, value))
+
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "v9.traj"
         path.write_text("traj 9 30.0\n0 0 0 0 0 0 0 1\n0 1 0 0 0 0 0 1\n")
@@ -399,12 +418,47 @@ class TestRecordFiles:
         assert err.value.line == 4
 
 
-def read_per_record(path, monkeypatch):
-    """``load`` with every block read one record at a time: the reference
-    that the block reader must reproduce, result and error alike."""
-    with monkeypatch.context() as m:
-        m.setattr(trajectories._Tracks, "take", lambda self, lines: False)
-        return outcome(path)
+def read_per_record(path):
+    """``outcome`` of a ``.traj`` reader that reads and checks one record at
+    a time: the reference that ``load`` must reproduce, result and error
+    alike. Files read through it have no ground truth."""
+    done, seen = [], set()
+    open_id, rows = None, []  # the open track: its id, its (frame, six floats)
+
+    def close():
+        nonlocal open_id
+        if open_id is not None:
+            frames, values = [r[0] for r in rows], np.array([r[1] for r in rows])
+            done.append(FeatureTrajectory.from_arrays(open_id, frames, values[:, :3],
+                                                      values[:, 3:]))
+            open_id = None
+
+    def record(parts):
+        nonlocal open_id, rows
+        if len(parts) != 8:
+            raise ValueError(f"expected 8 fields, got {len(parts)}")
+        tid = int(parts[0])
+        frame = int(parts[1])
+        vals = [float(v) for v in parts[2:]]
+        for name, v in (("id", tid), ("frame", frame)):
+            if not -2**63 <= v < 2**63:
+                raise ValueError(f"{name} {v} does not fit in int64")
+        if tid != open_id:
+            close()
+            if tid in seen:
+                raise ValueError(f"duplicate id {tid}")
+            open_id, rows = tid, []
+            seen.add(tid)
+        if frame <= (rows[-1][0] if rows else -1):
+            raise ValueError(f"trajectory {tid}: frame {frame} not increasing")
+        rows.append((frame, vals))
+
+    try:
+        (frame_rate,) = trajectories.read_records(path, "traj", trajectories.TRAJ_SCHEMA,
+                                                  record, close, fields=("frame_rate",))
+    except Exception as exc:  # the error is part of what must match
+        return type(exc).__name__, str(exc)
+    return [(t.id, t.observations.tobytes()) for t in done], frame_rate
 
 
 def outcome(path):
@@ -414,6 +468,48 @@ def outcome(path):
     except Exception as exc:  # the error is part of what must match
         return type(exc).__name__, str(exc)
     return [(t.id, t.observations.tobytes()) for t in demo.trajectories], demo.frame_rate
+
+
+# field values that a corruption writes: not numbers, numbers of the other
+# type, Python-only literals, the block reader's separator, out of int64
+GARBAGE = ["x", "3.0", "1_0", "|", str(2**70), str(-2**70), "-1", "nan", "1e999", "0x1"]
+
+
+def corrupt(lines, rng):
+    """``lines`` (header first) with one to three random edits of the body."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        if len(lines) < 3:
+            break
+        i, j = rng.randrange(1, len(lines)), rng.randrange(1, len(lines))
+        parts = lines[i].split()
+        kind = rng.randrange(11)
+        if kind == 0 and parts:  # a field replaced with garbage
+            parts[rng.randrange(len(parts))] = rng.choice(GARBAGE)
+            lines[i] = " ".join(parts)
+        elif kind == 1:  # an extra field
+            lines[i] += " " + rng.choice(GARBAGE + ["0.5"])
+        elif kind == 2:  # a missing field
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        elif kind == 3:  # two lines swapped
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == 4:  # a line duplicated
+            lines.insert(j, lines[i])
+        elif kind == 5:  # a line deleted
+            del lines[i]
+        elif kind == 6:  # a line moved
+            lines.insert(j, lines.pop(i))
+        elif kind == 7:  # a blank line
+            lines.insert(i, rng.choice(["", "  \t"]))
+        elif kind == 8 and parts:  # an id changed to another line's id
+            parts[0] = (lines[j].split() or ["7"])[0]
+            lines[i] = " ".join(parts)
+        elif kind == 9 and len(parts) > 1 and parts[1].lstrip("-").isdigit():  # a frame shifted
+            parts[1] = str(int(parts[1]) + rng.choice([-2, -1, 1, 2]))
+            lines[i] = " ".join(parts)
+        elif kind == 10:  # the file cut short, perhaps inside a line
+            lines = lines[:i] + [lines[i][:rng.randrange(len(lines[i]) + 1)]]
+    return lines
 
 
 class TestBlockReader:
@@ -470,7 +566,42 @@ class TestBlockReader:
         for name, text in self.cases(lines).items():
             path = tmp_path / f"case-{block}.traj"
             path.write_text("\n".join(text) + "\n")
-            assert outcome(str(path)) == read_per_record(str(path), monkeypatch), name
+            assert outcome(str(path)) == read_per_record(str(path)), name
+
+    def test_random_corruptions_match_per_record(self, tmp_path, monkeypatch):
+        # 300 seeded corruptions of 3 small demos, with and without dropout
+        bases = []
+        for name, dropout, seed in (("door", 0.1, 3), ("drawer", 0.0, 4), ("monitor", 0.2, 5)):
+            spec = synth.default_specs()[name].with_noise(sigma_pos=0.002, dropout=dropout)
+            demo = synth.generate(dataclasses.replace(spec, features_per_part=3), frames=10,
+                                  seed=seed)
+            save(demo, str(tmp_path / "base.traj"), with_ground_truth=False)
+            bases.append((tmp_path / "base.traj").read_text().splitlines())
+        rng = random.Random(0)
+        path = tmp_path / "case.traj"
+        for case in range(300):
+            path.write_text("\n".join(corrupt(bases[case % 3], rng)) + "\n")
+            expected = read_per_record(str(path))
+            for block in (1, 5, 128):
+                monkeypatch.setattr(trajectories, "_BLOCK", block)
+                assert outcome(str(path)) == expected, (case, block)
+
+    @pytest.mark.parametrize("body, error", [
+        # a rule error before a malformed line of the same block
+        (["0 0", "0 0", "0 x"], "line 3: trajectory 0: frame 0 not increasing"),
+        # a one-record track whose next line is malformed: the malformed line
+        (["0 0", "0 1", "1 0", "2 x"], "line 5: invalid literal for int() with base 10: 'x'"),
+        # a track head that is a duplicate id and out of order: the duplicate
+        (["0 0", "0 1", "1 0", "1 1", "0 -1"], "line 6: duplicate id 0"),
+        # a track head that closes a one-record track and is a duplicate id
+        (["0 0", "0 1", "1 0", "0 2"], "line 5: trajectory 1 has fewer than 2 observations"),
+        # a one-record last track: the line past the end
+        (["0 0", "0 1", "1 0"], "line 5: trajectory 1 has fewer than 2 observations"),
+    ])
+    def test_first_error_in_file_order(self, tmp_path, body, error):
+        path = tmp_path / "bad.traj"
+        path.write_text("traj 1 30.0\n" + "".join(f"{r} 0 0 0 0 0 1\n" for r in body))
+        assert outcome(str(path)) == read_per_record(str(path)) == ("ParseError", error)
 
     def test_errors_name_their_line(self, tmp_path, monkeypatch, lines):
         monkeypatch.setattr(trajectories, "_BLOCK", 4)
@@ -484,7 +615,7 @@ class TestBlockReader:
         path = tmp_path / "door.traj"
         path.write_text("\n".join(lines) + "\n")
         monkeypatch.setattr(trajectories, "_BLOCK", 3)
-        monkeypatch.setattr(trajectories._Tracks, "replay", None)
+        monkeypatch.setattr(trajectories, "_record", None)
         demo = load(str(path))
         assert sum(len(t.observations) for t in demo.trajectories) == len(lines) - 1
 

@@ -9,7 +9,7 @@ that runs from negative configurations past the observed range) and eval,
 a fridge at 40 % dropout through segment and learn --dump-similarity,
 the rough drawer and monitor through learn at --sparse-stride 1 and 3,
 plus the error paths of every subcommand, malformed ``.traj`` and ``.gt``
-records among them.
+records among them (ids and frames past int64 too).
 
 The commands run in-process through ``kinlearn.cli.main``, taken from
 whichever ``kinlearn`` is first on the import path. Warnings are written
@@ -164,6 +164,11 @@ def make_bad_inputs() -> None:
     e = next(i for i in range(s, len(ids)) if ids[i] != ids[s])
     write("lone-late.traj", "\n".join([lines[0]] + body[:s] + [""] * (511 - s) + [body[s]]
                                        + body[e:]) + "\n")
+    # ids and frames past int64: every id of the first track, its last frame
+    n, big = ids.count(ids[0]), str(10**20)
+    write("id-int64.traj", "\n".join([lines[0]] + [f"{big} {row.split(' ', 1)[1]}"
+                                                     for row in body[:n]] + body[n:]) + "\n")
+    write("frame-int64.traj", "\n".join([lines[0]] + field(n - 1, 1, big)) + "\n")
     # .gt records: a joint with 5 floats, a joint missing the config of frame 5
     joint = next(i for i, l in enumerate(gt_lines) if l.startswith("joint "))
     config = next(i for i, l in enumerate(gt_lines) if l.startswith("config 0 1 5 "))
@@ -221,6 +226,8 @@ def error_commands():
         ["segment", "blank.traj"],
         ["segment", "order-late.traj"],
         ["segment", "lone-late.traj"],
+        ["segment", "id-int64.traj"],
+        ["segment", "frame-int64.traj"],
         ["learn", "one.traj", *door, "--dump-similarity", "one.sim.csv", "-o", "one.db"],
         ["learn", "zero.traj", *door, "-o", "zero.db"],
         ["learn", "v9.traj", *door, "-o", "v9.out.db"],
