@@ -13,8 +13,9 @@ numpy's Python-level wrappers (``moveaxis``, ``stack``,
 ``take_along_axis``, ``linalg.norm``), whose fixed cost per call
 outweighs the arithmetic on short stacks; the arithmetic and its order
 are those of the wrapper forms, so every item keeps its bits. ``kabsch``
-solves a stack of rigid alignments at once; ``align_point_sets`` is its
-single-item form.
+solves a stack of rigid alignments at once, every point weighing the same;
+``align_point_sets`` is its single-item form. ``mean_rotation`` is the
+unweighted chordal mean of a set of quaternions.
 
 A ``Pose`` holds one pose or a stack (``q`` (..., 4), ``t`` (..., 3)). The
 operations and ``Pose.rot_about_line`` broadcast, giving every item the
@@ -374,29 +375,24 @@ def pose_distance(a: Pose, b: Pose):
     return _float_if_single(np.sqrt(row_dot(d, d))), rotation_angle(a, b)
 
 
-def mean_rotation(rotations, weights=None) -> np.ndarray:
-    """Chordal mean of unit quaternions (largest eigenvector of sum w qq^T).
+def mean_rotation(rotations) -> np.ndarray:
+    """Chordal mean of unit quaternions (largest eigenvector of sum qq^T).
 
     Accepts a sequence of quaternion arrays or an (n, 4) array. The result
     carries the canonical sign convention.
     """
-    qs = np.asarray([np.asarray(q, dtype=float) for q in rotations])
+    qs = np.asarray(rotations, dtype=float)
     if qs.size == 0:
         raise EmptyInput("mean_rotation needs at least one rotation")
-    if weights is None:
-        weights = np.ones(len(qs))
-    w = np.asarray(weights, dtype=float)
-    M = (qs * w[:, None]).T @ qs
-    vals, vecs = np.linalg.eigh(M)
+    _, vecs = np.linalg.eigh(qs.T @ qs)
     return quat_canonical(quat_normalize(vecs[:, -1]))
 
 
-def kabsch(src, dst, weights=None):
-    """Weighted least-squares rigid alignments of stacks of point sets.
+def kabsch(src, dst):
+    """Least-squares rigid alignments of stacks of point sets.
 
-    ``src`` and ``dst`` have shape (K, n, 3); ``weights`` is None, (n,)
-    shared by every item, or (K, n). Item k minimizes
-    sum w_i ||dst_i - (R src_i + t)||^2 via the cross-covariance SVD with
+    ``src`` and ``dst`` have shape (K, n, 3). Item k minimizes
+    sum ||dst_i - (R src_i + t)||^2 via the cross-covariance SVD with
     reflection correction, so every rotation has det +1.
 
     Returns ``(valid, q, t)``. ``valid`` (K,) is False where the centered
@@ -415,24 +411,15 @@ def kabsch(src, dst, weights=None):
     n = src.shape[1]
     if n < 3:
         raise DegenerateGeometry(f"need >=3 correspondences, got {n}")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-    wsum = w.sum(axis=-1)
-    if np.any(wsum <= 0):
-        raise ValueError("weights sum to zero")
-    wsum = np.reshape(wsum, (-1, 1))
-    cs = (w[..., None, :] @ src)[:, 0] / wsum
-    cd = (w[..., None, :] @ dst)[:, 0] / wsum
+    ones = np.ones((1, n))
+    cs = (ones @ src)[:, 0] / n
+    cd = (ones @ dst)[:, 0] / n
     src_c = src - cs[:, None]
     dst_c = dst - cd[:, None]
     sv = np.linalg.svd(src_c, compute_uv=False)
     valid = ~(sv[:, 1] < 1e-6 * np.maximum(sv[:, 0], 1e-300))
 
-    H = np.swapaxes(w[..., None] * src_c, 1, 2) @ dst_c
+    H = np.swapaxes(src_c, 1, 2) @ dst_c
     U, _, Vt = np.linalg.svd(H)
     V, Ut = np.swapaxes(Vt, 1, 2), np.swapaxes(U, 1, 2)
     D = np.zeros_like(H)
@@ -445,8 +432,8 @@ def kabsch(src, dst, weights=None):
     return valid, q, t
 
 
-def align_point_sets(src, dst, weights=None) -> Pose:
-    """Weighted least-squares rigid alignment mapping ``src`` onto ``dst``.
+def align_point_sets(src, dst) -> Pose:
+    """Least-squares rigid alignment mapping ``src`` onto ``dst``.
 
     The single-item form of :func:`kabsch`. Raises DegenerateGeometry for
     fewer than 3 points or (near-)collinear source geometry (second
@@ -456,7 +443,7 @@ def align_point_sets(src, dst, weights=None) -> Pose:
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
     if src.shape != dst.shape:
         raise ValueError("src and dst must have the same shape")
-    valid, q, t = kabsch(src[None], dst[None], weights)
+    valid, q, t = kabsch(src[None], dst[None])
     if not valid[0]:
         raise DegenerateGeometry("source points are collinear within tolerance")
     return Pose(q[0], t[0])

@@ -13,11 +13,11 @@ frame through ``ClusterPoseSequence.poses``, a read-only ``FramePoses`` view.
 The work is batched per cluster, with outputs bitwise those of the
 one-at-a-time forms:
 
-- ``build_constraints`` reads a cluster's ``Demonstration.packed`` arrays
-  and solves the deltas of all its frame pairs together: each fit round
-  stacks the pairs that fit the same number of points into one ``kabsch``
-  call, and the residuals of every pair come from one evaluation; one
-  ``Pose`` call normalises all the deltas. ``estimate_delta`` is the
+- ``build_constraints`` reads a cluster's rows of the
+  ``Demonstration.packed`` arrays and solves the deltas of all its frame
+  pairs together: each fit round stacks the pairs that fit the same number
+  of points into one ``kabsch`` call, and the residuals of every pair come
+  from one evaluation; one ``Pose`` call normalises all the deltas. ``estimate_delta`` is the
   one-pair form.
 - The initial chain composes each consecutive delta onto the previous
   pose on bare (q, t) rows with the quaternion kernels, one step per
@@ -307,8 +307,8 @@ def build_constraints(
 ) -> list[PoseConstraint]:
     """Measurement and smoothing factors for one cluster's pose chain.
 
-    Reads the cluster's arrays as ``Demonstration.packed`` returns them;
-    only frames that show >= 3 members are observed. Consecutive
+    Reads the cluster's rows of the ``Demonstration.packed`` arrays; only
+    frames that show >= 3 members are observed. Consecutive
     constraints join adjacent observed frames; sparse ones join
     (t - sparse_stride, t) when both are observed with enough common
     features; velocity regularizers cover every contiguous observed
@@ -493,9 +493,10 @@ def optimize(
 
     Minimizes the weighted squared norm of constraint residuals over
     6-dim tangent increments with the first observed frame held at its
-    initial (identity) value. The best iterate is kept, so the returned
-    cost never exceeds the initial one; failure to meet the relative
-    tolerance within 50 iterations sets ``converged = False``.
+    initial (identity) value. A step is taken only when it lowers the
+    cost, so the returned cost never exceeds the initial one; failure to
+    meet the relative tolerance within 50 iterations sets
+    ``converged = False``.
 
     Each iteration builds ``JᵀJ`` and ``Jᵀr`` from the per-constraint
     Jacobian blocks, stored as block-tridiagonal chunks of ``s`` frames,
@@ -505,8 +506,9 @@ def optimize(
     damping trial ``lam`` solves ``(JᵀJ + lam I) step = -Jᵀr`` by a
     block-Thomas sweep, O(n·(6s)²) for n frames; a singular chunk or a
     cost rise raises ``lam`` tenfold, up to 8 trials. A trial whose cost
-    exceeds the current one by no more than the relative tolerance ends
-    the loop as converged: the chain is at its optimum up to rounding.
+    does not fall below the current one, and exceeds it by no more than
+    the relative tolerance, ends the loop as converged: the chain is at its
+    optimum up to rounding.
     """
     index = initial.poses.index
     n = len(index)
@@ -520,7 +522,6 @@ def optimize(
 
     r = _weighted_residuals(groups, Q, T)
     cost = float(np.sum(r**2))
-    best = (Q.copy(), T.copy(), cost)
     lam = 1e-9
     converged = False
     iterations = 0
@@ -542,7 +543,7 @@ def optimize(
             Tn = np.concatenate([T[:1], quat_rotate(dq, T[1:]) + step[:, 3:]])
             rn = _weighted_residuals(groups, Qn, Tn)
             cn = float(np.sum(rn**2))
-            if cn <= cost:
+            if cn < cost:
                 accepted = True
                 break
             if cn - cost <= 1e-8 * max(cost, 1e-12):
@@ -554,8 +555,6 @@ def optimize(
         drop = cost - cn
         Q, T, r, cost = Qn, Tn, rn, cn
         lam = max(lam / 10, 1e-9)
-        if cost < best[2]:
-            best = (Q.copy(), T.copy(), cost)
         if cost < 1e-18 or drop < 1e-8 * max(cost, 1e-12):
             converged = True
             break
@@ -564,7 +563,6 @@ def optimize(
             f"pose optimization did not converge in {iterations} iterations",
             RuntimeWarning,
         )
-    Q, T, _ = best
     poses = FramePoses(initial.poses.frames, Pose(Q, T))
     return ClusterPoseSequence(initial.cluster_id, poses, dict(initial.inlier_counts),
                                converged, iterations)
@@ -577,14 +575,20 @@ def estimate_cluster_poses(
     sparse_stride: int = DEFAULT_SPARSE_STRIDE,
     seed: int = 0,
 ) -> list[ClusterPoseSequence]:
-    """Full per-cluster pipeline on ``Demonstration.packed``: deltas, constraints, smoothing.
+    """Full per-cluster pipeline: deltas, constraints, smoothing.
 
-    Clusters observable with >=3 features in fewer than 2 frames are
-    dropped with a warning. Results are ordered by cluster id.
+    The demonstration is packed once (``Demonstration.packed``); each
+    cluster reads its members' rows, found with ``np.searchsorted`` over
+    the ascending ids. Those rows are unobserved past the cluster's last
+    frame, so its observed frames and deltas are those of a pack of its
+    members alone. Clusters observable with >=3 features in fewer than 2
+    frames are dropped with a warning. Results are ordered by cluster id.
     """
     results: list[ClusterPoseSequence] = []
+    all_ids, all_pos, _, all_valid = demo.packed()
     for cid in sorted(assignment.clusters):
-        ids, pos, _, valid = demo.packed(assignment.clusters[cid])
+        rows = np.searchsorted(all_ids, assignment.clusters[cid])
+        ids, pos, valid = all_ids[rows], all_pos[rows], all_valid[rows]
         frames = _observed_frames(valid).tolist()
         if len(frames) < 2:
             warnings.warn(

@@ -59,15 +59,19 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class SimilarityParams:
+    """Kernel bandwidths, the shortest defined overlap, and how the two
+    scores combine: ``"product"`` (positional x normal) or
+    ``"positional"`` (the positional score alone)."""
+
     gamma_pos: float = DEFAULT_GAMMA_POS
     gamma_normal: float = DEFAULT_GAMMA_NORMAL
     min_overlap: int = 10
-    combine: str = "product"  # product | positional | normal
+    combine: str = "product"
 
     def __post_init__(self):
         if self.gamma_pos <= 0 or self.gamma_normal <= 0:
             raise ValueError("bandwidths must be positive")
-        if self.combine not in ("product", "positional", "normal"):
+        if self.combine not in ("product", "positional"):
             raise ValueError(f"unknown combine rule {self.combine!r}")
         if self.min_overlap < 2:
             raise ValueError("min_overlap must be at least 2")
@@ -94,8 +98,7 @@ def similarity_matrix(
     ids, pos, nrm, valid = demo.packed()
     n, n_frames = valid.shape
 
-    use_pos = params.combine in ("product", "positional")
-    use_nrm = params.combine in ("product", "normal")
+    use_nrm = params.combine == "product"
     values = np.full((n, n), np.nan)
     np.fill_diagonal(values, 1.0)
     rows, cols = np.triu_indices(n, 1)
@@ -109,10 +112,7 @@ def similarity_matrix(
             gi, gj = i[group], j[group]
             a, b = gi[:, None], gj[:, None]
             frames = np.nonzero(both[group])[1].reshape(len(group), T)
-            L = 1.0
-            if use_pos:
-                d = _norm(pos[a, frames] - pos[b, frames])
-                L = L * _kernel(d, params.gamma_pos)
+            L = _kernel(_norm(pos[a, frames] - pos[b, frames]), params.gamma_pos)
             if use_nrm:
                 d = 1.0 - np.sum(nrm[a, frames] * nrm[b, frames], axis=-1)
                 L = L * _kernel(d, params.gamma_normal)

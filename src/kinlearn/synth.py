@@ -41,7 +41,7 @@ __all__ = [
     "default_specs",
 ]
 
-PROFILE_SHAPES = ("ramp", "smoothstep", "sinusoid", "hold_then_move")
+PROFILE_SHAPES = ("ramp", "smoothstep", "sinusoid")
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,8 @@ class MotionProfile:
             y = s
         elif self.shape == "smoothstep":
             y = s * s * (3.0 - 2.0 * s)
-        elif self.shape == "sinusoid":
+        else:  # sinusoid
             y = np.sin(np.pi * s)
-        else:  # hold_then_move: still for 30% of the time, then smoothstep
-            u = np.clip((s - 0.3) / 0.7, 0.0, 1.0)
-            y = u * u * (3.0 - 2.0 * u)
         return self.extent * y
 
 

@@ -70,14 +70,16 @@ class FeatureTrajectory:
     increasing.
 
     ``observations`` is a read-only ``np.recarray`` of dtype
-    ``OBSERVATION``; the constructor copies whatever it is given into one.
+    ``OBSERVATION``. The constructor takes an ``OBSERVATION`` array as its
+    own, without a copy, and marks it read-only; any other input is
+    converted into a new one.
     """
 
     id: int
     observations: np.recarray
 
     def __post_init__(self):
-        obs = np.array(self.observations, dtype=OBSERVATION)
+        obs = np.asarray(self.observations, dtype=OBSERVATION)
         obs.flags.writeable = False
         frames = obs["frame"]
         if len(obs) < 2:
@@ -165,17 +167,18 @@ class Demonstration:
         if self.ground_truth is not None:
             self.ground_truth.validate(ids)
 
-    def packed(self, ids=None):
-        """Track x frame layout of the trajectories ``ids`` (default all).
+    def packed(self):
+        """Track x frame layout of every trajectory.
 
         Returns ``(ids, positions, normals, valid)``: the ids ascending as
         an int array, positions and normals of shape (n, n_frames, 3), NaN
         where a track is unobserved, and the (n, n_frames) mask of observed
-        entries; ``n_frames`` runs to the last frame these tracks observe.
+        entries; ``n_frames`` runs to the last frame any track observes. The
+        rows of a subset of tracks are found with ``np.searchsorted(ids, ...)``.
         """
-        lookup = {t.id: t for t in self.trajectories}
-        ids = np.array(sorted(lookup if ids is None else ids), dtype=np.int64)
-        tracks = [lookup[tid].observations for tid in ids.tolist()]
+        by_id = sorted(self.trajectories, key=lambda t: t.id)
+        ids = np.array([t.id for t in by_id], dtype=np.int64)
+        tracks = [t.observations for t in by_id]
         # every observation once, track after track, as plain record fields
         obs = np.concatenate(tracks or [np.empty(0, OBSERVATION)]).view(np.ndarray)
         rows = np.repeat(np.arange(len(ids)), [len(t) for t in tracks])
@@ -254,8 +257,9 @@ def gt_path_for(path: str) -> str:
     return root + ".gt"
 
 
-def save(demo: Demonstration, path: str, with_ground_truth: bool = True) -> None:
-    """Write a demonstration; ground truth goes to the ``.gt`` sidecar."""
+def save(demo: Demonstration, path: str) -> None:
+    """Write a demonstration; its ground truth, if any, goes to the ``.gt``
+    sidecar (a demonstration without one writes no sidecar)."""
     lines = [f"traj {TRAJ_SCHEMA} {fmt_floats((demo.frame_rate,))}"]
     for traj in demo.trajectories:
         obs = traj.observations
@@ -263,7 +267,7 @@ def save(demo: Demonstration, path: str, with_ground_truth: bool = True) -> None
         for frame, pos, nrm in rows:
             lines.append(f"{traj.id} {frame} {fmt_floats(pos)} {fmt_floats(nrm)}")
     write_lines(path, lines)
-    if with_ground_truth and demo.ground_truth is not None:
+    if demo.ground_truth is not None:
         save_ground_truth(demo.ground_truth, gt_path_for(path))
 
 

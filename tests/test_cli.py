@@ -347,7 +347,7 @@ class TestEval:
         traj, db, _ = door_files
         demo = trajectories.load(traj)
         bare = str(tmp_path / "bare.traj")
-        trajectories.save(demo, bare, with_ground_truth=False)
+        trajectories.save(trajectories.Demonstration(demo.trajectories, demo.frame_rate), bare)
         code, _, err = run(["eval", db, bare, "--object", "door"])
         assert code == 2
         assert "ground truth" in err

@@ -212,16 +212,6 @@ class TestAlignPointSets:
         assert dt < 5e-3
         assert dr < np.deg2rad(1.0)
 
-    def test_weights_downweight_outlier(self):
-        rng = np.random.default_rng(12)
-        src = rng.normal(size=(10, 3))
-        truth = random_pose(rng)
-        dst = apply_pose(truth, src)
-        dst[0] += 10.0
-        w = np.ones(10)
-        w[0] = 0.0
-        assert_pose_close(align_point_sets(src, dst, w), truth)
-
     def test_left_invariance(self):
         rng = np.random.default_rng(13)
         src = rng.normal(size=(12, 3))
@@ -286,15 +276,16 @@ def reference_quat_from_matrix(R):
     return reference_quat_canonical(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
-def reference_align_point_sets(src, dst, w):
+def reference_align_point_sets(src, dst):
     """One-item Kabsch built from the reference primitives above."""
-    cs = (w @ src) / w.sum()
-    cd = (w @ dst) / w.sum()
+    ones = np.ones(len(src))
+    cs = (ones @ src) / len(src)
+    cd = (ones @ dst) / len(src)
     src_c, dst_c = src - cs, dst - cd
     sv = np.linalg.svd(src_c, compute_uv=False)
     if sv[1] < 1e-6 * max(sv[0], 1e-300):
         raise DegenerateGeometry("collinear")
-    U, _, Vt = np.linalg.svd((w[:, None] * src_c).T @ dst_c)
+    U, _, Vt = np.linalg.svd(src_c.T @ dst_c)
     d = np.sign(np.linalg.det(Vt.T @ U.T))
     q = reference_quat_from_matrix(Vt.T @ np.diag([1.0, 1.0, d]) @ U.T)
     return Pose(q, cd - reference_quat_rotate(q, cs))
@@ -303,30 +294,23 @@ def reference_align_point_sets(src, dst, w):
 class TestBatchedKernels:
     """Batched forms must equal their one-item references bit for bit."""
 
-    @pytest.mark.parametrize("weighting", ["none", "shared", "per_item"])
     @pytest.mark.parametrize("n", [3, 7])
-    def test_kabsch_equals_separate_calls(self, weighting, n):
+    def test_kabsch_equals_separate_calls(self, n):
         rng = np.random.default_rng(n)
         K = 40
         src = rng.normal(size=(K, n, 3))
         src[::9] = np.outer(np.arange(n), [1.0, 2.0, -1.0])  # collinear items
         dst = np.array([apply_pose(random_pose(rng), s) for s in src])
         dst += rng.normal(scale=0.01, size=dst.shape)
-        weights = {
-            "none": None,
-            "shared": rng.uniform(0.1, 2.0, size=n),
-            "per_item": rng.uniform(0.1, 2.0, size=(K, n)),
-        }[weighting]
-        valid, q, t = kabsch(src, dst, weights)
+        valid, q, t = kabsch(src, dst)
         assert not valid[::9].any()
         assert np.isnan(q[~valid]).all() and np.isnan(t[~valid]).all()
         for k in range(K):
-            w = weights if weights is None or weights.ndim == 1 else weights[k]
             if not valid[k]:
                 with pytest.raises(DegenerateGeometry):
-                    align_point_sets(src[k], dst[k], w)
+                    align_point_sets(src[k], dst[k])
                 continue
-            ref = align_point_sets(src[k], dst[k], w)
+            ref = align_point_sets(src[k], dst[k])
             got = Pose(q[k], t[k])
             assert got.q.tobytes() == ref.q.tobytes()
             assert got.t.tobytes() == ref.t.tobytes()
@@ -338,9 +322,8 @@ class TestBatchedKernels:
             src = rng.normal(size=(n, 3))
             truth = random_pose(rng, max_angle=np.pi)  # trace <= 0 on some cases
             dst = apply_pose(truth, src) + rng.normal(scale=0.01, size=(n, 3))
-            w = rng.uniform(0.1, 2.0, size=n) if case % 2 else np.ones(n)
-            got = align_point_sets(src, dst, None if case % 2 == 0 else w)
-            ref = reference_align_point_sets(src, dst, w)
+            got = align_point_sets(src, dst)
+            ref = reference_align_point_sets(src, dst)
             assert got.q.tobytes() == ref.q.tobytes()
             assert got.t.tobytes() == ref.t.tobytes()
 

@@ -275,7 +275,9 @@ class TestRansacSamples:
 
 def cluster_frame_sets(demo, members, cid):
     """The frame sets of the packed columns that show >= 3 members."""
-    ids, pos, _, valid = demo.packed(members)
+    ids, pos, _, valid = demo.packed()
+    rows = np.searchsorted(ids, members)
+    ids, pos, valid = ids[rows], pos[rows], valid[rows]
     return [
         ClusterFrameSet(f, tuple(ids[seen].tolist()), pos[seen, f])
         for f, seen in enumerate(valid.T)
@@ -516,6 +518,40 @@ class TestBuildConstraints:
         assert all(w == 7.0 for w in consec_w)
         vel_w = {c.weight for c in cons if c.kind == VELOCITY}
         assert vel_w == {0.1 * 7.0}
+
+    def test_rows_of_demo_pack_equal_own_pack(self):
+        # part 1's tracks end 5 frames before the demo's last frame, so a
+        # pack of that part's tracks alone is narrower than the demo's pack
+        spec = synth.default_specs()["door"].with_noise(sigma_pos=0.005, dropout=0.1)
+        demo = synth.generate(spec, frames=30, seed=1)
+        labels = demo.ground_truth.labels
+        tracks = [
+            t if labels[t.id] == 0 else FeatureTrajectory(t.id, t.observations[t.frames < 25])
+            for t in demo.trajectories
+        ]
+        demo = Demonstration(tracks)
+        members = sorted(t.id for t in tracks if labels[t.id] == 1)
+        ids, pos, _, valid = demo.packed()
+        rows = np.searchsorted(ids, members)
+        assert valid.shape[1] == 30 and not valid[rows, 25:].any()
+        own = {t.id: t for t in tracks if labels[t.id] == 1}
+        sets = []
+        for f in range(25):
+            seen = [i for i in members if f in own[i].frames]
+            if seen:
+                sets.append(fset(f, seen, [own[i].positions[own[i].frames == f][0] for i in seen]))
+        own_pack = pack(sets)  # a pack of part 1's tracks alone
+        assert own_pack[2].shape[1] == 25
+        got = build_constraints(ids[rows], pos[rows], valid[rows], seed=1)
+        for ref in (own_pack, pack(cluster_frame_sets(demo, members, 1))):
+            expected = build_constraints(*ref, seed=1)
+            assert [(c.kind, c.frames, c.weight) for c in got] == [
+                (c.kind, c.frames, c.weight) for c in expected
+            ]
+            for a, b in zip(got, expected):
+                if a.delta is not None:
+                    assert a.delta.q.tobytes() == b.delta.q.tobytes()
+                    assert a.delta.t.tobytes() == b.delta.t.tobytes()
 
 
 class TestChunkedSolve:

@@ -203,7 +203,7 @@ class TestSimilarityMatrix:
             demo = synth.generate(spec, frames=40, seed=4)
             demo = Demonstration(demo.trajectories[:8], ground_truth=None)
             trajs = sorted(demo.trajectories, key=lambda t: t.id)
-            for combine in ("product", "positional", "normal"):
+            for combine in ("product", "positional"):
                 params = SimilarityParams(min_overlap=20, combine=combine)
                 assert_matches_reference(demo, params)
                 for i in range(len(trajs)):
@@ -223,7 +223,7 @@ class TestSimilarityMatrix:
         overlap = (valid[:, None] & valid[None]).sum(axis=-1)[np.triu_indices(n, 1)]
         assert len(np.unique(overlap[overlap >= 20])) > 5
         assert (overlap < 20).any()
-        for combine in ("product", "positional", "normal"):
+        for combine in ("product", "positional"):
             assert_matches_reference(demo, SimilarityParams(min_overlap=20, combine=combine))
 
     def test_zero_and_one_trajectories(self):

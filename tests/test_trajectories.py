@@ -287,6 +287,24 @@ class TestFeatureTrajectory:
         with pytest.raises(ValueError, match="negative frame -1"):
             FeatureTrajectory.from_arrays(0, [-1, 0, 1], np.zeros((3, 3)), [0.0, 0.0, 1.0])
 
+    def test_observation_array_taken_as_its_own(self):
+        obs = np.zeros(3, dtype=trajectories.OBSERVATION)
+        obs["frame"] = [0, 2, 5]
+        traj = FeatureTrajectory(4, obs)
+        assert np.shares_memory(traj.observations, obs)
+        assert not obs.flags.writeable and not traj.observations.flags.writeable
+        with pytest.raises(ValueError):
+            obs["frame"][0] = 1
+
+    def test_records_are_converted_and_checked(self):
+        records = [(0, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0)), (3, (1.0, 2.0, 3.0), (0.0, 1.0, 0.0))]
+        traj = FeatureTrajectory(4, records)
+        assert traj.frames.tolist() == [0, 3]
+        assert traj.positions.tolist() == [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]
+        assert not traj.observations.flags.writeable
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            FeatureTrajectory(5, records[::-1])
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -306,7 +324,7 @@ class TestSerialization:
     def test_truncated_file(self, tmp_path):
         demo = synth.generate(single_part_spec(), frames=15, seed=7)
         path = tmp_path / "t.traj"
-        save(demo, str(path), with_ground_truth=False)
+        save(trajectories.Demonstration(demo.trajectories, demo.frame_rate), str(path))
         text = path.read_text().splitlines()
         broken = "\n".join(text[:4] + [text[4].rsplit(" ", 1)[0]])
         path.write_text(broken)
@@ -522,7 +540,7 @@ class TestBlockReader:
         spec = synth.default_specs()["door"].with_noise(sigma_pos=0.002, dropout=0.1)
         demo = synth.generate(dataclasses.replace(spec, features_per_part=4), frames=12, seed=3)
         path = tmp_path / "door.traj"
-        save(demo, str(path), with_ground_truth=False)
+        save(trajectories.Demonstration(demo.trajectories, demo.frame_rate), str(path))
         return path.read_text().splitlines()
 
     @staticmethod
@@ -575,7 +593,8 @@ class TestBlockReader:
             spec = synth.default_specs()[name].with_noise(sigma_pos=0.002, dropout=dropout)
             demo = synth.generate(dataclasses.replace(spec, features_per_part=3), frames=10,
                                   seed=seed)
-            save(demo, str(tmp_path / "base.traj"), with_ground_truth=False)
+            save(trajectories.Demonstration(demo.trajectories, demo.frame_rate),
+                 str(tmp_path / "base.traj"))
             bases.append((tmp_path / "base.traj").read_text().splitlines())
         rng = random.Random(0)
         path = tmp_path / "case.traj"

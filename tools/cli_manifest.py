@@ -8,6 +8,8 @@ segment, learn --dump-similarity, predict (a short sweep and a 401-row one
 that runs from negative configurations past the observed range) and eval,
 a fridge at 40 % dropout through segment and learn --dump-similarity,
 the rough drawer and monitor through learn at --sparse-stride 1 and 3,
+the clean and rough door through learn --poses with part 1's records cut
+off at frame 25 (a cluster whose own tracks end before the demo does),
 plus the error paths of every subcommand, malformed ``.traj`` and ``.gt``
 records among them (ids and frames past int64 too).
 
@@ -195,6 +197,23 @@ def make_bad_inputs() -> None:
     ]) + "\n")
 
 
+def make_short_parts() -> None:
+    """The clean and rough door demos without the records of part 1's tracks
+    (labels from the .gt) at frames >= 25, written with no sidecar."""
+    for variant in ("clean", "rough"):
+        gt = [l.split() for l in read(f"door-{variant}.gt").splitlines()]
+        part1 = {l[1] for l in gt if l[0] == "label" and l[2] == "1"}
+        lines = read(f"door-{variant}.traj").splitlines()
+        kept = [l for l in lines[1:] if l.split()[0] not in part1 or int(l.split()[1]) < 25]
+        write(f"short-{variant}.traj", "\n".join(lines[:1] + kept) + "\n")
+
+
+def short_part_commands():
+    return [["learn", f"short-{v}.traj", "--object", "door", "--seed", SEED,
+             "--poses", f"short-{v}.poses.csv", "-o", f"short-{v}.db"]
+            for v in ("clean", "rough")]
+
+
 def error_commands():
     door = ["--object", "door"]
     gen = ["generate", *door, "--frames", FRAMES]
@@ -288,6 +307,9 @@ def main() -> int:
             report(argv)
         make_bad_inputs()
         for argv in error_commands():
+            report(argv)
+        make_short_parts()
+        for argv in short_part_commands():
             report(argv)
         for name in sorted(os.listdir(root)):
             with open(name, "rb") as f:
