@@ -14,15 +14,17 @@ numpy's Python-level wrappers (``moveaxis``, ``stack``,
 outweighs the arithmetic on short stacks; the arithmetic and its order
 are those of the wrapper forms, so every item keeps its bits. ``kabsch``
 solves a stack of rigid alignments at once, every point weighing the same;
-``align_point_sets`` is its single-item form. ``mean_rotation`` is the
-unweighted chordal mean of a set of quaternions.
+``align_point_sets`` is its single-item form. ``fit_triples`` solves a stack
+of 3-point alignments in closed form, without an SVD, and marks the items
+whose result could differ from ``kabsch``'s by more than rounding.
+``mean_rotation`` is the unweighted chordal mean of a set of quaternions.
 
 A ``Pose`` holds one pose or a stack (``q`` (..., 4), ``t`` (..., 3)). The
 operations and ``Pose.rot_about_line`` broadcast, giving every item the
 bytes of a one-pose call; distances are floats for one pose, arrays for a
 stack. ``Pose.stack`` and ``pose[k]`` build and read stacks with the stored
-bytes. ``Pose.matrix``/``from_matrix``/``rotation_matrix`` and the twist
-helpers take one pose.
+bytes. ``Pose.matrix`` and ``rotation_matrix`` give (..., 4, 4) and
+(..., 3, 3) for a stack; ``from_matrix`` and the twist helpers take one pose.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "mean_rotation",
     "align_point_sets",
     "kabsch",
+    "fit_triples",
     "rotation_angle",
     "pose_distance",
     "pose_residual",
@@ -190,14 +193,20 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    R[..., 0, 1] = 2 * (x * y - z * w)
+    R[..., 0, 2] = 2 * (x * z + y * w)
+    R[..., 1, 0] = 2 * (x * y + z * w)
+    R[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    R[..., 1, 2] = 2 * (y * z - x * w)
+    R[..., 2, 0] = 2 * (x * z - y * w)
+    R[..., 2, 1] = 2 * (y * z + x * w)
+    R[..., 2, 2] = 1 - 2 * (x * x + y * y)
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +284,11 @@ class Pose:
         return Pose(q, t)
 
     def matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = quat_to_matrix(self.q)
-        T[:3, 3] = self.t
+        """Homogeneous matrices, (..., 4, 4) for a stack."""
+        T = np.zeros(np.broadcast_shapes(self.q.shape[:-1], self.t.shape[:-1]) + (4, 4))
+        T[..., :3, :3] = quat_to_matrix(self.q)
+        T[..., :3, 3] = self.t
+        T[..., 3, 3] = 1.0
         return T
 
     def rotation_matrix(self) -> np.ndarray:
@@ -430,6 +441,103 @@ def kabsch(src, dst):
     q[~valid] = np.nan
     t[~valid] = np.nan
     return valid, q, t
+
+
+def _cross(a, b):
+    """Cross products of 3-vectors stored component first, (3, ...)."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _unit(v):
+    return v / np.sqrt(np.add.reduce(v * v, axis=0))
+
+
+def _sv_ratio(centred, cross):
+    """Second over first singular value of each centred triple (3, 3, K).
+
+    The nonzero eigenvalues of the Gram matrix are the squared singular
+    values: l0 + l1 = ||c||_F^2 and l0 * l1 = ||(p1 - p0) x (p2 - p0)||^2 / 3,
+    with ``cross`` that cross product. NaN where the points coincide.
+    """
+    s = np.add.reduce((centred * centred).reshape(9, -1), axis=0)
+    p = np.add.reduce(cross * cross, axis=0) / 3.0
+    l0 = 0.5 * (s + np.sqrt(np.maximum(s * s - 4.0 * p, 0.0)))
+    return np.sqrt(p) / l0
+
+
+def _frame(p):
+    """Orthonormal frames of triangles p (3, 3, K), component first: the
+    unit vectors of p1 - p0, of its normal in the plane and of the plane's
+    normal, stacked (3, 3, K). Also returns (p1 - p0) x (p2 - p0)."""
+    e = p[:, 1] - p[:, 0]
+    x = _cross(e, p[:, 2] - p[:, 0])
+    u, n = _unit(e), _unit(x)
+    return np.array([u, _cross(n, u), n]), x
+
+
+# A closed-form fit is exact to rounding, but it is not computed the way
+# kabsch computes it. The two agree to about 1e-16 x (the lever arm) x the
+# condition number of the cross-covariance, so items whose condition
+# number exceeds about 1e3 are marked unsure (under 1e-12 m at a 1 m arm).
+_UNSURE = 1e-3
+
+
+def fit_triples(src, dst):
+    """Least-squares rigid fits of stacks of 3-point sets, in closed form.
+
+    ``src`` and ``dst`` have shape (K, 3, 3). The optimal rotation maps the
+    plane of each source triangle onto the plane of its target, then turns
+    it in that plane by the 2-D Procrustes angle. The 2 x 2 cross-covariance
+    M of the in-plane coordinates chooses the branch: for det M > 0 the
+    in-plane map is a rotation and the plane normals are matched; for
+    det M < 0 it is a reflection, and the normals are matched with opposite
+    signs. Either way the 3-D rotation has det +1, as ``kabsch``'s has. The
+    arithmetic runs on one (K,) array per component.
+
+    Returns ``(valid, R, t, unsure)``. ``valid`` (K,) applies ``kabsch``'s
+    collinearity rule to the source. Its singular-value ratio comes from the
+    Gram eigenvalues (see :func:`_sv_ratio`), not from an SVD. ``R``
+    (K, 3, 3) and ``t`` (K, 3) are the fit, so ``R @ s + t`` moves the
+    source points; they carry no meaning where ``valid`` is False. The
+    results match ``kabsch``'s to rounding, except where ``unsure`` (K,)
+    is set:
+
+    - the source's ratio lies within 0.1 % of the 1e-6 rule, or is NaN
+      (coincident points), so ``valid`` could differ from ``kabsch``'s;
+    - a valid source has a target whose own ratio is below 1e-3 (a
+      near-collinear target), where neither solution is well determined;
+    - a valid source has |det M| below 1e-3 x ||M||_F^2 / 2: a near tie
+      between the rotation and reflection branches.
+
+    Unsure items should be solved by ``kabsch``.
+    """
+    k = len(src)
+    # (coordinate, point, item): the K sources, then the K targets
+    Z = np.concatenate([src, dst]).transpose(2, 1, 0).copy()
+    cz = (Z[:, 0] + Z[:, 1] + Z[:, 2]) / 3.0
+    C = Z - cz[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F, x = _frame(Z)
+        ratio = _sv_ratio(C, x)
+        valid = ratio[:k] >= 1e-6
+        P = np.add.reduce(F[:2, :, None] * C, axis=1)  # in-plane coordinates (2, 3, 2K)
+        M = np.add.reduce(P[:, None, :, :k] * P[None, :, :, k:], axis=2)
+        m00, m01, m10, m11 = M.reshape(4, -1)
+        det = m00 * m11 - m01 * m10
+        turn = det > 0  # rotation branch; else reflection
+        c = np.where(turn, m00 + m11, m00 - m11)
+        s = np.where(turn, m01 - m10, m01 + m10)
+        r = np.sqrt(c * c + s * s)
+        c, s = c / r, s / r
+        flip = np.where(turn, 1.0, -1.0)
+        Fs, Ft = F[..., :k], F[..., k:]
+        W = np.array([c * Fs[0] - flip * s * Fs[1], s * Fs[0] + flip * c * Fs[1], flip * Fs[2]])
+        R = np.add.reduce(Ft[:, :, None] * W[:, None], axis=0)  # (row, column, K)
+        tie = ~(2.0 * np.abs(det) >= _UNSURE * (m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11))
+        unsure = ~(np.abs(ratio[:k] - 1e-6) > 1e-9) | valid & (~(ratio[k:] >= _UNSURE) | tie)
+    t = cz[:, k:] - np.add.reduce(R * cz[:, :k], axis=1)
+    return valid, R.transpose(2, 0, 1), t.T, unsure
 
 
 def align_point_sets(src, dst) -> Pose:

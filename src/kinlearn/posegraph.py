@@ -23,7 +23,11 @@ one-at-a-time forms:
   pose on bare (q, t) rows with the quaternion kernels, one step per
   frame and no ``Pose`` per frame.
 - The fallback's ``RANSAC_SAMPLES`` minimal samples are drawn once per
-  (point count, seed) and solved and scored in one ``kabsch`` call.
+  (point count, seed). All fallback pairs of a cluster go through one
+  ``_sample_consensus`` call: ``fit_triples`` solves every sample in closed
+  form and one evaluation per block scores them all. The samples whose
+  closed-form score could differ from ``kabsch``'s by rounding are solved
+  and scored again by ``kabsch``, so every mask keeps its bytes.
 - ``optimize`` evaluates each residual group once per Jacobian, with
   every (slot, axis) perturbation stacked, and retracts all frames in one
   vectorised step.
@@ -52,6 +56,7 @@ from .geometry import (
     Pose,
     _norm,
     apply_pose,
+    fit_triples,
     kabsch,
     quat_canonical,
     quat_conj,
@@ -81,6 +86,8 @@ VELOCITY = "velocity"
 DEFAULT_INLIER_THRESHOLD = 0.01  # meters
 DEFAULT_SPARSE_STRIDE = 10
 RANSAC_SAMPLES = 100  # 3-point minimal samples per fallback
+_CONSENSUS_BLOCK = 8192  # hypothesis x point entries the fallback scores at once
+_GATE_BAND = 1e-9  # m: see _sample_consensus
 
 
 @dataclass(frozen=True)
@@ -167,21 +174,67 @@ def _ransac_samples(n: int, seed: int) -> np.ndarray:
     return idx
 
 
-def _sample_consensus(src, dst, inlier_threshold, seed):
-    """Inlier mask of the best 3-point minimal sample, or None.
+def _sample_consensus(src, dst, starts, sizes, inlier_threshold, seed):
+    """Inlier mask of the best 3-point minimal sample of every pair, or None.
 
-    Solves the ``RANSAC_SAMPLES`` samples of ``_ransac_samples`` in one
-    batched Kabsch call and scores all of them at once. The best is the
-    first non-collinear sample with the most inliers; None when every
-    sample is collinear.
+    Pair k's points are rows ``starts[k]`` to ``starts[k] + sizes[k]`` of
+    ``src`` and ``dst``; its hypotheses are the ``RANSAC_SAMPLES`` triples
+    of ``_ransac_samples(sizes[k], seed)``. The best is the first
+    non-collinear sample with the most inliers; None when every sample is
+    collinear. Returns one item per pair.
+
+    The pairs are taken by point count, in blocks of at most
+    ``_CONSENSUS_BLOCK`` hypothesis x point entries. ``fit_triples`` solves
+    every triple of a block in closed form, and one evaluation scores every
+    hypothesis against its pair's points. Rounding makes these residuals
+    differ from those of ``kabsch`` + ``apply_pose`` by under 1e-12 m, so a
+    mask can differ only where a residual lies that close to the gate. A
+    hypothesis with a residual within ``_GATE_BAND`` = 1e-9 m of the gate
+    (a thousand times that difference), or one that ``fit_triples`` marks
+    unsure, is solved and scored again by ``kabsch`` and ``apply_pose``,
+    exactly as a one-pair call would, in one call per point count. So every
+    mask and validity flag, and with them the chosen mask, is bit for bit
+    that of the ``kabsch`` loop.
     """
-    idx = _ransac_samples(len(src), seed)
-    valid, q, t = kabsch(src[idx], dst[idx])
-    if not valid.any():
-        return None
-    moved = apply_pose(Pose(q[:, None, :], t[:, None, :]), src)
-    masks = _norm(moved - dst) < inlier_threshold
-    return masks[np.argmax(np.where(valid, masks.sum(axis=1), -1))]
+    starts, sizes = np.asarray(starts), np.asarray(sizes)
+    masks: list = [None] * len(sizes)  # pair k: (samples, sizes[k]) in-gate masks
+    valid = np.empty((len(sizes), RANSAC_SAMPLES), dtype=bool)
+    redo = np.empty((len(sizes), RANSAC_SAMPLES), dtype=bool)
+    for n in np.unique(sizes).tolist():
+        idx = _ransac_samples(n, seed)
+        group = np.flatnonzero(sizes == n)
+        step = max(1, _CONSENSUS_BLOCK // (RANSAC_SAMPLES * n))
+        for lo in range(0, len(group), step):
+            block = group[lo:lo + step]
+            rows = starts[block][:, None] + np.arange(n)
+            s, d = src[rows], dst[rows]  # (pairs, n, 3)
+            shape = (len(block), RANSAC_SAMPLES)
+            ok, R, t, unsure = fit_triples(s[:, idx].reshape(-1, 3, 3),
+                                           d[:, idx].reshape(-1, 3, 3))
+            diff = R.reshape(*shape, 3, 3) @ s.swapaxes(1, 2)[:, None]  # in place from here
+            diff += t.reshape(*shape, 3, 1)
+            diff -= d.swapaxes(1, 2)[:, None]
+            diff *= diff
+            res = np.sqrt(np.add.reduce(diff, axis=2))  # (pairs, samples, n)
+            valid[block] = ok = ok.reshape(shape)
+            redo[block] = unsure.reshape(shape) | ok & (
+                np.abs(res - inlier_threshold) <= _GATE_BAND).any(axis=2)
+            for k, m in zip(block.tolist(), res < inlier_threshold):
+                masks[k] = m
+    # kabsch and apply_pose decide the unsure hypotheses
+    pair, hyp = np.nonzero(redo)
+    for n in np.unique(sizes[pair]).tolist():
+        sel = sizes[pair] == n
+        p, h = pair[sel], hyp[sel]
+        rows = starts[p][:, None] + np.arange(n)
+        s, d = src[rows], dst[rows]
+        tri = np.arange(len(p))[:, None], _ransac_samples(n, seed)[h]
+        valid[p, h], q, t = kabsch(s[tri], d[tri])
+        in_gate = _norm(apply_pose(Pose(q[:, None, :], t[:, None, :]), s) - d) < inlier_threshold
+        for k, j, m in zip(p.tolist(), h.tolist(), in_gate):
+            masks[k][j] = m
+    return [m[np.argmax(np.where(v, m.sum(axis=1), -1))] if v.any() else None
+            for m, v in zip(masks, valid)]
 
 
 def _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed):
@@ -233,11 +286,12 @@ def _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed):
     inliers[pts] = refreshed
     # more than half the points rejected: re-seed consensus from minimal samples
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    for i in np.flatnonzero(~degenerate & (counts() < 0.5 * sizes)):
-        span = slice(starts[i], starts[i + 1])
-        best = _sample_consensus(src[span], dst[span], inlier_threshold, seed)
+    fallback = np.flatnonzero(~degenerate & (counts() < 0.5 * sizes))
+    consensus = _sample_consensus(src, dst, starts[fallback], sizes[fallback],
+                                  inlier_threshold, seed)
+    for i, best in zip(fallback.tolist(), consensus):
         if best is not None and best.sum() >= 3:
-            inliers[span] = best
+            inliers[starts[i]:starts[i + 1]] = best
 
     # fit / reclassify to a fixed point, at most 20 rounds per pair
     todo = ~degenerate
@@ -272,9 +326,11 @@ def estimate_delta(
     iterates fit / reclassify-inliers to a fixed point, for at most 20
     rounds; when the initial fit rejects more than half the points,
     consensus is re-seeded from ``RANSAC_SAMPLES`` random 3-point minimal
-    samples (deterministic for a fixed seed), solved and scored together
-    in one batched Kabsch call. The first non-collinear sample with the
-    most inliers re-seeds the consensus.
+    samples (deterministic for a fixed seed). The first non-collinear
+    sample with the most inliers re-seeds the consensus. The samples are
+    solved in closed form (``fit_triples``) and scored together; a sample
+    whose score could differ from ``kabsch``'s by rounding is solved and
+    scored again by ``kabsch``, so the mask is that of the Kabsch fits.
 
     The one-pair form of the batched routine that ``build_constraints``
     runs over all pairs of a cluster: the two sets are laid out as a

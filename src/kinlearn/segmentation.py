@@ -5,8 +5,9 @@ The similarity of two trajectories over their common frames is
 
     L = (1/T) * sum_t exp(-gamma * (d_t - mean(d))^2)
 
-computed once with the positional distance d = ||p_i - p_j|| (bandwidth
-``gamma_pos``, default 1/(2 cm) = 50/m) and once with the normal distance
+computed once with the positional distance d = ||p_i - p_j|| in metres
+(bandwidth ``gamma_pos``, default 50 m^-2: a 2 cm deviation scores 0.98,
+and the score falls to 1/e at 14 cm) and once with the normal distance
 d = 1 - n_i . n_j (bandwidth ``gamma_normal``, default 1/cos 15deg); the
 two scores are combined multiplicatively, so both cues must agree for a
 pair to look rigidly attached. Pairs overlapping fewer than
@@ -49,7 +50,7 @@ NOISE = -1
 
 DEFAULT_EPS = 0.05
 DEFAULT_MIN_PTS = 5
-DEFAULT_GAMMA_POS = 50.0  # 1 / (2 cm)
+DEFAULT_GAMMA_POS = 50.0  # m^-2: exp(-50 * 0.02**2) = 0.98 at 2 cm, 1/e at 14 cm
 DEFAULT_GAMMA_NORMAL = 1.0 / np.cos(np.deg2rad(15.0))
 
 # Pair x frame entries gathered at once by similarity_matrix: bounds its

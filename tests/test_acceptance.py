@@ -239,7 +239,7 @@ class TestCriterion4:
         exact = pair_similarity(a, b)
         ok = exact == 1.0
 
-        # two-frame hand case: distances mean +/- 2 cm at gamma = 50 / m
+        # two-frame hand case: distances mean +/- 2 cm at gamma = 50 m^-2
         ta, tb = _static_pair([(0.10, 0.0, 0.0), (0.14, 0.0, 0.0)])
         params = SimilarityParams(min_overlap=2, combine="positional")
         hand = pair_similarity(ta, tb, params)

@@ -1,6 +1,10 @@
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,3 +527,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error: argument --seed: must be finite and >= 0, got '-1'" in err
         assert not out.exists()
+
+
+def test_manifest_matches_committed_file():
+    """Every command of ``tools/cli_manifest.py`` keeps the exit code, output
+    bytes and file bytes recorded in ``tools/manifest.txt``."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, str(tools / "cli_manifest.py"), "--check", str(tools / "manifest.txt")],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]

@@ -11,6 +11,7 @@ from kinlearn.geometry import (
     apply_pose,
     compose,
     exp_twist,
+    fit_triples,
     inverse,
     kabsch,
     log_pose,
@@ -586,3 +587,111 @@ class TestPoseStacks:
             Pose(np.ones((5, 3)), np.zeros((5, 3)))
         with pytest.raises(ValueError):
             Pose(1.0, np.zeros(3))
+
+
+class TestPoseMatrices:
+    def test_stack_gives_one_matrix_per_pose(self):
+        ps = [random_pose(np.random.default_rng(9)) for _ in range(5)]
+        for n in (1, 3, 4, 5):
+            stacked = Pose.stack(ps[:n])
+            R, T = stacked.rotation_matrix(), stacked.matrix()
+            assert R.shape == (n, 3, 3) and T.shape == (n, 4, 4)
+            for k in range(n):
+                assert R[k].tobytes() == ps[k].rotation_matrix().tobytes()
+                assert T[k].tobytes() == ps[k].matrix().tobytes()
+
+    def test_one_pose_keeps_its_bytes(self):
+        # the one-pose formulas as written before stacks were taken
+        for p in [random_pose(np.random.default_rng(s)) for s in range(50)]:
+            w, x, y, z = p.q
+            R = np.array([
+                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+            ])
+            T = np.eye(4)
+            T[:3, :3], T[:3, 3] = R, p.t
+            assert p.rotation_matrix().tobytes() == R.tobytes()
+            assert p.matrix().tobytes() == T.tobytes()
+
+
+def triples_with_ratio(rng, ratios, scale=0.1):
+    """Triples (K, 3, 3) whose centred points have singular values
+    (scale, ratio * scale, 0), placed within 1 m of the origin."""
+    out = []
+    for ratio in ratios:
+        basis, _ = np.linalg.qr(np.column_stack([np.ones(3), rng.normal(size=(3, 2))]))
+        V, _ = np.linalg.qr(rng.normal(size=(3, 2)))
+        out.append(basis[:, 1:] @ np.diag([scale, ratio * scale]) @ V.T + rng.uniform(-1, 1, 3))
+    return np.array(out)
+
+
+def moved_by_kabsch(src, dst, points):
+    valid, q, t = kabsch(src, dst)
+    return valid, apply_pose(Pose(q[:, None, :], t[:, None, :]), points)
+
+
+def moved_by_fit(src, dst, points):
+    valid, R, t, unsure = fit_triples(src, dst)
+    return valid, R @ points.swapaxes(1, 2) + t[:, :, None], unsure
+
+
+class TestFitTriples:
+    """The closed-form 3-point fit against ``kabsch``: the same validity and
+    moved points within 1e-12 m wherever the fit is not marked unsure."""
+
+    def test_agrees_with_kabsch_on_random_triples(self):
+        rng = np.random.default_rng(27)
+        K = 100_000
+        src = rng.uniform(-0.3, 0.3, size=(K, 3, 3)) + rng.uniform(-1, 1, size=(K, 1, 3))
+        q = quat_from_rotvec(rng.normal(size=(K, 3)))
+        dst = apply_pose(Pose(q[:, None], rng.normal(scale=0.3, size=(K, 1, 3))), src)
+        dst[: K // 2] += rng.normal(scale=0.01, size=(K // 2, 3, 3))  # rigid and noisy
+        dst[K // 2:] = rng.uniform(-1, 1, size=(K - K // 2, 3, 3))  # unrelated targets
+        # the triple itself and four more points up to 1 m from its centroid
+        points = np.concatenate(
+            [src, src.mean(axis=1, keepdims=True) + rng.uniform(-0.6, 0.6, (K, 4, 3))], axis=1)
+        want_valid, want = moved_by_kabsch(src, dst, points)
+        valid, got, unsure = moved_by_fit(src, dst, points)
+        assert unsure.sum() < K // 100  # almost every item is solved in closed form
+        sure = ~unsure
+        assert np.array_equal(valid[sure], want_valid[sure])
+        both = sure & want_valid
+        assert np.abs(got.swapaxes(1, 2)[both] - want[both]).max() < 1e-12
+
+    def test_validity_at_the_collinearity_rule(self):
+        # sv ratio 1e-6 (1 +- 1e-4) lies inside the 0.1 % band: unsure, so
+        # kabsch decides. At 1e-6 (1 +- 1e-2) the Gram ratio alone gives
+        # kabsch's answer; a wrong l0 * l1 constant fails here. Thin valid
+        # sources are unsure anyway, as near ties.
+        rng = np.random.default_rng(28)
+        for spread in (1e-4, 1e-2):
+            ratios = 1e-6 * (1 + spread * np.tile([-1.0, 1.0], 200))
+            src = triples_with_ratio(rng, ratios)
+            dst = src + rng.normal(scale=0.01, size=src.shape)
+            want, _, _ = kabsch(src, dst)
+            assert np.array_equal(want, ratios > 1e-6)
+            valid, _, _, unsure = fit_triples(src, dst)
+            if spread < 1e-3:
+                assert unsure.all()
+            else:
+                assert np.array_equal(valid, want) and not unsure[~want].any()
+            assert np.array_equal(np.where(unsure, want, valid), want)
+
+    def test_marks_degenerate_targets_and_branch_ties(self):
+        rng = np.random.default_rng(29)
+        src = triples_with_ratio(rng, np.full(10, 0.3))
+        step = random_pose(rng)
+        line = rng.uniform(-0.2, 0.2, size=(10, 3, 1)) * [1.0, 0.0, 0.0] + 0.5
+        thin = triples_with_ratio(rng, np.full(10, 0.01))
+        coincident = np.full((10, 3, 3), 0.5)
+        cases = {
+            "collinear target": (src, line),
+            "near-collinear target": (src, triples_with_ratio(rng, np.full(10, 1e-5))),
+            # two thin triangles: the in-plane rotation and reflection nearly tie
+            "branch tie": (thin, apply_pose(step, thin)),
+            "coincident source": (coincident, src),
+        }
+        for name, (s, d) in cases.items():
+            assert fit_triples(s, d)[3].all(), name
+        assert not fit_triples(src, apply_pose(step, src))[3].any()

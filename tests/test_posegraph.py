@@ -7,14 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinlearn import synth
+from kinlearn import posegraph, synth
 from kinlearn.errors import DegenerateGeometry, EmptyInput, InsufficientCorrespondences
 from kinlearn.geometry import (
     Pose,
     align_point_sets,
     apply_pose,
     compose,
+    fit_triples,
     inverse,
+    kabsch,
     pose_distance,
     quat_from_rotvec,
     quat_mul,
@@ -50,6 +52,7 @@ from kinlearn.posegraph import (
 from kinlearn.segmentation import ClusterAssignment, cluster, similarity_matrix
 from kinlearn.synth import JointSpec, MotionProfile, ObjectSpec, PartSpec
 from kinlearn.trajectories import Demonstration, FeatureTrajectory
+from test_geometry import triples_with_ratio
 
 
 def pclose(a, b, tol):
@@ -234,7 +237,7 @@ class TestBatchedSampleConsensus:
             pts, moved = self.partly_collinear(seed)
             best, skipped = reference_sample_consensus(pts, moved, 0.01, seed)
             skipped_total += skipped
-            mask = _sample_consensus(pts, moved, 0.01, seed)
+            (mask,) = _sample_consensus(pts, moved, [0], [len(pts)], 0.01, seed)
             assert np.array_equal(mask, best)
             self.assert_same_delta(pts, moved, seed)
         assert skipped_total > 0
@@ -245,7 +248,7 @@ class TestBatchedSampleConsensus:
         moved = pts + rng.normal(0, 0.01, size=pts.shape)
         best, skipped = reference_sample_consensus(pts, moved, 0.01, 3)
         assert best is None and skipped == 100
-        assert _sample_consensus(pts, moved, 0.01, 3) is None
+        assert _sample_consensus(pts, moved, [0], [len(pts)], 0.01, 3) == [None]
 
     def test_ties_keep_first_sample(self):
         winners = set()
@@ -254,9 +257,83 @@ class TestBatchedSampleConsensus:
             best, _ = reference_sample_consensus(pts, moved, 0.01, seed + 100)
             assert best.sum() == 10
             winners.add(int(np.flatnonzero(best)[0]))
-            assert np.array_equal(_sample_consensus(pts, moved, 0.01, seed + 100), best)
+            (mask,) = _sample_consensus(pts, moved, [0], [len(pts)], 0.01, seed + 100)
+            assert np.array_equal(mask, best)
             self.assert_same_delta(pts, moved, seed + 100)
         assert winners == {0, 10}  # each group wins on some seed
+
+    @staticmethod
+    def consensus(pairs, seed):
+        """``_sample_consensus`` over all (src, dst) pairs in one call."""
+        sizes = [len(src) for src, _ in pairs]
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        src = np.concatenate([p[0] for p in pairs])
+        dst = np.concatenate([p[1] for p in pairs])
+        return _sample_consensus(src, dst, starts, sizes, 0.01, seed)
+
+    def assert_reference_masks(self, pairs, seed):
+        for (src, dst), mask in zip(pairs, self.consensus(pairs, seed)):
+            best, _ = reference_sample_consensus(src, dst, 0.01, seed)
+            assert (mask is None) == (best is None)
+            assert best is None or np.array_equal(mask, best)
+
+    @staticmethod
+    def count_kabsch(monkeypatch):
+        """Count the hypotheses that posegraph hands to ``kabsch``."""
+        solved = []
+
+        def counting(src, dst):
+            solved.append(len(src))
+            return kabsch(src, dst)
+
+        monkeypatch.setattr(posegraph, "kabsch", counting)
+        return solved
+
+    def test_mixed_point_counts_in_one_call(self):
+        rng = np.random.default_rng(31)
+        pairs = [self.partly_collinear(seed) for seed in range(10)]  # 20 points: 3 blocks
+        pairs += [self.two_rigid_groups(4)]
+        for n in (3, 5, 12, 90):  # 90 points: a block of one pair
+            pts = rng.uniform(-0.3, 0.3, size=(n, 3)) + 1.0
+            moved = apply_pose(random_step(rng), pts) + rng.normal(0, 0.008, size=(n, 3))
+            pairs.append((pts, moved))
+        line = np.outer(rng.uniform(-0.2, 0.2, size=7), [0.3, -0.4, 1.0])
+        pairs.insert(4, (line, line + rng.normal(0, 0.01, size=line.shape)))  # all collinear
+        self.assert_reference_masks(pairs, seed=5)
+        assert self.consensus(pairs, 5)[4] is None
+
+    def test_each_resolve_trigger_gives_kabsch_masks(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        pts = rng.uniform(-0.3, 0.3, size=(8, 3))
+        step = random_step(rng)
+        direction = np.array([0.6, 0.0, 0.8])
+        line = 0.5 + np.outer(rng.uniform(-0.2, 0.2, size=8), direction)
+        off = np.cross(direction, [0.0, 1.0, 0.0])
+        thin = line + np.outer(rng.uniform(-1.0, 1.0, size=8), off * 2e-3)
+        gate = apply_pose(step, pts)
+        gate[5, 0] += 0.01  # exactly at the gate from the other points' motion
+        ratio = 1e-6 * np.array([1 - 1e-4, 1 + 1e-4])
+        band = triples_with_ratio(rng, ratio)
+        cases = {
+            "collinear target": [(pts, line)],
+            "near-collinear target": [(pts, line + np.outer(rng.normal(size=8), off * 1e-6))],
+            "branch tie": [(thin, apply_pose(step, thin))],
+            "gate distance": [(pts, gate)],
+            "collinearity band": [(tri, tri + rng.normal(0, 0.01, size=(3, 3))) for tri in band],
+        }
+        for name, pairs in cases.items():
+            solved = self.count_kabsch(monkeypatch)
+            self.assert_reference_masks(pairs, seed=6)
+            assert sum(solved) > 0, name
+            if name == "gate distance":  # the closed form is sure of every sample
+                src, dst = pairs[0]
+                idx = _ransac_samples(len(src), 6)
+                assert not fit_triples(src[idx], dst[idx])[3].any()
+        assert self.consensus(cases["collinearity band"], 6)[0] is None
+
+
+def random_step(rng):
+    return Pose.from_rotvec(rng.normal(scale=0.2, size=3), rng.normal(scale=0.05, size=3))
 
 
 class TestRansacSamples:

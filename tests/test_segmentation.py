@@ -107,7 +107,7 @@ class TestPairSimilarity:
         assert pair_similarity(a, b) == 1.0
 
     def test_hand_computed_two_frame_case(self):
-        # distances mu+0.02 and mu-0.02 at gamma = 50/m
+        # distances mu+0.02 and mu-0.02 at gamma = 50 m^-2
         a = make_traj(0, [0, 1], np.zeros((2, 3)))
         b = make_traj(1, [0, 1], [[0.21, 0, 0], [0.17, 0, 0]])
         params = SimilarityParams(min_overlap=2, combine="positional")

@@ -24,10 +24,22 @@ Two trees are compared by diffing their manifests:
     PYTHONPATH=<tree-a>/src python3 tools/cli_manifest.py > a.txt
     PYTHONPATH=<tree-b>/src python3 tools/cli_manifest.py > b.txt
     diff a.txt b.txt
+
+``tools/manifest.txt`` is the committed manifest of the current tree, and
+
+    PYTHONPATH=src python3 tools/cli_manifest.py --check tools/manifest.txt
+
+compares a fresh run with it: it prints each line that differs, with the
+fields that moved (exit code, stdout, stderr, message or file hash), and
+exits 1 on any difference. A change that moves outputs on purpose
+regenerates the file; its diff is then the list of moved lines. The
+hashes of numeric outputs depend on the numpy and BLAS build, so a new
+numpy calls for a regenerated file with no source change.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -300,30 +312,77 @@ def error_commands():
     ]
 
 
-def main() -> int:
+def manifest_lines():
+    """The manifest's lines, one per command as it runs, then one per file."""
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="cli-manifest-") as root:
         os.chdir(root)
-        for argv in pipeline_commands():
-            report(argv)
-        make_bad_inputs()
-        for argv in error_commands():
-            report(argv)
-        make_short_parts()
-        for argv in short_part_commands():
-            report(argv)
-        for name in sorted(os.listdir(root)):
-            with open(name, "rb") as f:
-                print(f"file {name} {sha(f.read())}")
-        os.chdir("/")
-    return 0
+        try:
+            for argv in pipeline_commands():
+                yield report(argv)
+            make_bad_inputs()
+            for argv in error_commands():
+                yield report(argv)
+            make_short_parts()
+            for argv in short_part_commands():
+                yield report(argv)
+            for name in sorted(os.listdir(root)):
+                with open(name, "rb") as f:
+                    yield f"file {name} {sha(f.read())}"
+        finally:
+            os.chdir(cwd)
 
 
-def report(argv) -> None:
+def report(argv) -> str:
     code, out, err = run(argv)
     line = f"cmd {' '.join(argv)} | exit {code} | stdout {sha(out.encode())} | stderr {sha(err.encode())}"
     if code != 0:
         line += f" | {err.strip().splitlines()[-1] if err.strip() else ''}"
-    print(line, flush=True)
+    return line
+
+
+def fields(line: str):
+    """(key, {field: value}) of a manifest line: a command's argv and its
+    exit, stdout, stderr and message fields, or a file's name and hash."""
+    if line.startswith("file "):
+        name, _, digest = line[5:].rpartition(" ")
+        return f"file {name}", {"hash": digest}
+    key, *parts = line.split(" | ")
+    named = dict(part.split(" ", 1) for part in parts[:3])
+    return key, {**named, "message": " | ".join(parts[3:])}
+
+
+def check(expected_path: str) -> int:
+    """Compare a fresh run with the manifest at ``expected_path``."""
+    with open(expected_path) as f:
+        expected = dict(fields(line) for line in f.read().splitlines())
+    seen, moved = set(), 0
+    for line in manifest_lines():
+        key, got = fields(line)
+        seen.add(key)
+        want = expected.get(key)
+        if want != got:
+            moved += 1
+            what = "new line" if want is None else ", ".join(
+                name for name in got if got[name] != want.get(name))
+            print(f"moved ({what}): {line}", flush=True)
+    for key in expected.keys() - seen:
+        moved += 1
+        print(f"missing: {key}", flush=True)
+    print(f"{moved} of {len(expected)} manifest lines differ from {expected_path}")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="MANIFEST",
+                        help="compare with this manifest instead of printing one")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    for line in manifest_lines():
+        print(line, flush=True)
+    return 0
 
 
 if __name__ == "__main__":
