@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="synthesize a demonstration")
     g.add_argument("--object", required=True)
-    g.add_argument("--frames", type=int, default=120)
+    g.add_argument("--frames", type=_checked(int, lambda v: v < 2**63, "below 2**63"),
+                   default=120)
     g.add_argument("--noise", type=float, default=0.0, help="position sigma (m)")
     g.add_argument("--dropout", type=float, default=0.0, help="per-frame loss prob")
     g.add_argument("--seed", type=_non_negative(int), default=0)

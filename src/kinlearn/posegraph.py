@@ -10,41 +10,46 @@ so every pose maps first-frame world coordinates to the current frame.
 A cluster's poses are one ``Pose`` stack over a sorted frame array, read by
 frame through ``ClusterPoseSequence.poses``, a read-only ``FramePoses`` view.
 
-The work is batched per cluster, with outputs bitwise those of the
-one-at-a-time forms:
+The work is batched per demonstration, not per cluster, with outputs
+bitwise those of the one-cluster forms:
 
-- ``build_constraints`` reads a cluster's rows of the
-  ``Demonstration.packed`` arrays and solves the deltas of all its frame
-  pairs together: each fit round stacks the pairs that fit the same number
-  of points into one ``kabsch`` call, and the residuals of every pair come
-  from one evaluation; one ``Pose`` call normalises all the deltas. ``estimate_delta`` is the
-  one-pair form.
+- ``estimate_cluster_poses`` reads each cluster's rows of the
+  ``Demonstration.packed`` arrays and solves the deltas of the frame pairs
+  of every cluster in one ``_estimate_deltas`` call: each fit round stacks
+  the pairs that fit the same number of points into one ``kabsch`` call,
+  and the residuals of every pair come from one evaluation; one ``Pose``
+  call normalises all the deltas. ``build_constraints`` is the one-cluster
+  form and ``estimate_delta`` the one-pair form.
 - The initial chain composes each consecutive delta onto the previous
-  pose on bare (q, t) rows with the quaternion kernels, one step per
-  frame and no ``Pose`` per frame.
+  pose on Python floats (``_chain_step``), by the operations of the
+  quaternion kernels in their order, so with their bits.
 - The fallback's ``RANSAC_SAMPLES`` minimal samples are drawn once per
-  (point count, seed). All fallback pairs of a cluster go through one
-  ``_sample_consensus`` call: ``fit_triples`` solves every sample in closed
-  form and one evaluation per block scores them all. The samples whose
-  closed-form score could differ from ``kabsch``'s by rounding are solved
-  and scored again by ``kabsch``, so every mask keeps its bytes.
-- ``optimize`` evaluates each residual group once per Jacobian, with
-  every (slot, axis) perturbation stacked, and retracts all frames in one
-  vectorised step.
+  (point count, seed). All fallback pairs of the demonstration go through
+  one ``_sample_consensus`` call: ``fit_triples`` solves every sample in
+  closed form and one evaluation per block scores them all. The samples
+  whose closed-form score could differ from ``kabsch``'s by rounding are
+  solved and scored again by ``kabsch``, so every mask keeps its bytes.
+- One Gauss-Newton loop smooths every chain in lockstep, each with its
+  own cost, damping and convergence: each step evaluates each residual
+  group of the unfinished chains once, with every (slot, axis)
+  perturbation stacked, and retracts all their frames in one vectorised
+  step. ``optimize`` is the one-chain form.
 
 The smoothing's normal equations are solved with numpy alone. Every
 factor joins frames at most ``s`` rows of the pose stack apart, ``s``
 being the widest row span of any factor (``sparse_stride`` rows when a
 sparse factor spans no gap, 2 for a velocity factor) capped at ``n - 1``.
 Cut into chunks of ``s`` free frames, ``JᵀJ`` is block tridiagonal with
-6s x 6s blocks: one ``np.bincount`` scatter builds it, another ``Jᵀr``,
-and a block-Thomas sweep solves it with one ``np.linalg.solve`` per chunk,
+6s x 6s blocks: one ``np.bincount`` scatter per chunk width builds it for
+every chain, another ``Jᵀr``, and a block-Thomas sweep solves the chains
+of one chunk shape together with one ``np.linalg.solve`` per chunk,
 O(n·(6s)²) time and O(n·s) memory for n frames.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -58,7 +63,6 @@ from .geometry import (
     apply_pose,
     fit_triples,
     kabsch,
-    quat_canonical,
     quat_conj,
     quat_from_rotvec,
     quat_mul,
@@ -237,20 +241,30 @@ def _sample_consensus(src, dst, starts, sizes, inlier_threshold, seed):
             for m, v in zip(masks, valid)]
 
 
-def _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed):
+def _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed, clusters=None):
     """:func:`estimate_delta` of every frame pair (a[k], b[k]) at once.
 
     ``a`` and ``b`` index the frame columns of the packed arrays ``ids``,
-    ``positions``, ``valid`` of ``Demonstration.packed``. Returns one item
-    per pair: ``(delta, inlier ids)``, or the InsufficientCorrespondences
-    or DegenerateGeometry that the pair alone raises. One ``np.nonzero``
-    lays the common tracks of every pair end to end, in ascending id, so
-    the residuals and inlier masks of every pair come from one evaluation.
-    Each fit round solves the pairs with one ``kabsch`` call per inlier
-    count; ``kabsch`` computes each item as a one-item call would, so every
-    delta is bitwise the one-pair result.
+    ``positions``, ``valid`` of ``Demonstration.packed``. The pairs belong
+    to one cluster of every row, or to the ``clusters`` in turn: item c is
+    (rows, count), the packed rows of cluster c's members and the number
+    of pairs of ``a`` and ``b`` that are its, following those of cluster
+    c - 1. Returns one item per pair: ``(delta, inlier ids)``, or the
+    InsufficientCorrespondences or DegenerateGeometry that the pair alone
+    raises. One ``np.nonzero`` per cluster lays the common tracks of its
+    pairs end to end, in row order, so the residuals and inlier masks of
+    every pair come from one evaluation. Each fit round solves the pairs
+    with one ``kabsch`` call per inlier count; ``kabsch`` computes each
+    item as a one-item call would, so every delta is bitwise the one-pair
+    result.
     """
-    pair, track = np.nonzero((valid[:, a] & valid[:, b]).T)
+    pieces, lo = [], 0
+    for rows, count in clusters or [(np.arange(len(ids)), len(a))]:
+        seen = valid[rows]
+        pair, track = np.nonzero((seen[:, a[lo:lo + count]] & seen[:, b[lo:lo + count]]).T)
+        pieces.append((pair + lo, rows[track]))
+        lo += count
+    pair, track = (np.concatenate(x) for x in zip(*pieces))
     sizes = np.bincount(pair, minlength=len(a))
     out: list = [None if n >= 3 else InsufficientCorrespondences(
         f"need >=3 common features, got {n}") for n in sizes.tolist()]
@@ -332,9 +346,10 @@ def estimate_delta(
     whose score could differ from ``kabsch``'s by rounding is solved and
     scored again by ``kabsch``, so the mask is that of the Kabsch fits.
 
-    The one-pair form of the batched routine that ``build_constraints``
-    runs over all pairs of a cluster: the two sets are laid out as a
-    two-column packed array. Raises InsufficientCorrespondences for fewer
+    The one-pair form of the batched routine that
+    ``estimate_cluster_poses`` runs over all pairs of a demonstration, and
+    ``build_constraints`` over those of one cluster: the two sets are laid
+    out as a two-column packed array. Raises InsufficientCorrespondences for fewer
     than 3 common features and DegenerateGeometry when a fit's points are
     collinear.
     """
@@ -371,12 +386,26 @@ def build_constraints(
     triple. Measurement weights are the inlier counts; the velocity
     weight is 0.1 x the median consecutive weight.
     """
+    frames, after, a, b = _frame_pairs(valid, sparse_stride)
+    deltas = _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed)
+    return _constraints(frames, after, a, b, deltas)
+
+
+def _frame_pairs(valid, sparse_stride):
+    """The observed frames of a cluster's packed ``valid`` rows, those
+    observed right after another, and the (a, b) frame pairs of its
+    consecutive then sparse constraints."""
     frames = _observed_frames(valid)
     after = frames[np.isin(frames - 1, frames)]  # no consecutive constraint across a gap
     sparse = frames[np.isin(frames - sparse_stride, frames)]
     a, b = np.concatenate([after - 1, sparse - sparse_stride]), np.concatenate([after, sparse])
-    kinds = [CONSECUTIVE] * len(after) + [SPARSE] * len(sparse)
-    deltas = _estimate_deltas(ids, positions, valid, a, b, inlier_threshold, seed)
+    return frames, after, a, b
+
+
+def _constraints(frames, after, a, b, deltas):
+    """The factors of :func:`build_constraints` from the deltas of the
+    pairs of :func:`_frame_pairs`."""
+    kinds = [CONSECUTIVE] * len(after) + [SPARSE] * (len(a) - len(after))
     constraints = [  # a pair without a delta gets no constraint
         PoseConstraint(kind, (fa, fb), d[0], float(len(d[1])))
         for kind, fa, fb, d in zip(kinds, a.tolist(), b.tolist(), deltas)
@@ -456,9 +485,10 @@ def _weighted_residuals(groups, Q, T):
 def _jacobian(groups, Q, T, r0):
     """Forward-difference Jacobian of the weighted residuals ``r0``: one
     (constraints, slots, 6, 6) array of blocks per group, where block
-    [c, slot] holds d(residual c) / d(tangent of that slot's frame), zero
-    where the slot is the gauge (first) frame. One batched evaluation per
-    group holds every (slot, axis) perturbation."""
+    [c, slot] holds d(residual c) / d(tangent of that slot's frame). The
+    blocks of a gauge (first) frame are computed too, and
+    :func:`_chunk_layout` discards their products. One batched evaluation
+    per group holds every (slot, axis) perturbation."""
     blocks = []
     for g in groups:
         _, _, slots, _, first = g
@@ -470,9 +500,8 @@ def _jacobian(groups, Q, T, r0):
             qs[6 * slot:6 * slot + 6], ts[6 * slot:6 * slot + 6] = _perturbations(q, t)
             moved.append((qs, ts))
         d = (_group_residuals(g, moved) - r0[first:first + len(slots[0])]) / _JACOBIAN_STEP
-        b = d.reshape(k, 6, -1, 6).transpose(2, 0, 3, 1).copy()  # (constraint, slot, row, axis)
-        b[np.stack(slots, axis=1) == 0] = 0.0
-        blocks.append(b)
+        # (constraint, slot, row, axis), contiguous for the products of _normal_equations
+        blocks.append(d.reshape(k, 6, -1, 6).transpose(2, 0, 3, 1).copy())
     return blocks
 
 
@@ -488,7 +517,8 @@ def _chunk_layout(groups, n):
     the chunk count, the flat ``JᵀJ`` index of every (constraint, slot,
     slot, axis, axis) product of the groups in order, the flat ``Jᵀr``
     index of every (constraint, slot, axis), and the padding variables
-    that fill the last chunk.
+    that fill the last chunk. A product of the gauge (first) frame goes to
+    the bin just past the end of its array, which is dropped.
     """
     span = max(int((np.max(g[2], axis=0) - np.min(g[2], axis=0)).max()) for g in groups)
     s = max(1, min(span, n - 1))
@@ -496,12 +526,13 @@ def _chunk_layout(groups, n):
     axis = np.arange(6)
     h_index, g_index = [], []
     for _, _, slots, _, _ in groups:
-        var = np.maximum(np.stack(slots, axis=1) - 1, 0)  # gauge blocks are zero
+        var = np.stack(slots, axis=1) - 1  # the gauge is -1
         i, j = var[:, :, None, None, None], var[:, None, :, None, None]
         chunk = i // s
         row = chunk * w + 6 * (i - chunk * s) + axis[:, None]
-        h_index.append((row * 3 * w + 6 * (j - (chunk - 1) * s) + axis).ravel())
-        g_index.append((6 * var[:, :, None] + axis).ravel())
+        h = row * 3 * w + 6 * (j - (chunk - 1) * s) + axis
+        h_index.append(np.where((i < 0) | (j < 0), m * w * 3 * w, h).ravel())
+        g_index.append(np.where(var[:, :, None] < 0, m * w, 6 * var[:, :, None] + axis).ravel())
     return s, m, np.concatenate(h_index), np.concatenate(g_index), np.arange(6 * (n - 1), m * w)
 
 
@@ -512,34 +543,43 @@ def _normal_equations(layout, blocks, r):
     diagonal."""
     s, m, h_index, g_index, pad = layout
     w = 6 * s
-    bt = [b.swapaxes(-1, -2) for b in blocks]
-    rs = np.split(r, np.cumsum([len(b) for b in blocks])[:-1])
-    H = np.bincount(h_index, np.concatenate([(t[:, :, None] @ b[:, None]).ravel()
-                                             for t, b in zip(bt, blocks)]),
-                    minlength=m * w * 3 * w).reshape(m * w, 3 * w)
+    products, lo = np.empty(len(h_index)), 0
+    for b in blocks:  # written in place: no second copy of the products
+        hi = lo + b.size * b.shape[1]
+        np.matmul(b.swapaxes(-1, -2)[:, :, None], b[:, None],
+                  out=products[lo:hi].reshape(len(b), b.shape[1], *b.shape[1:]))
+        lo = hi
+    H = np.bincount(h_index, products, minlength=m * w * 3 * w + 1)
+    H = H[:m * w * 3 * w].reshape(m * w, 3 * w)
     H[pad, w + pad % w] = 1.0
-    g = np.bincount(g_index, np.concatenate([(t @ rc[:, None, :, None]).ravel()
-                                             for t, rc in zip(bt, rs)]), minlength=m * w)
-    return H.reshape(m, w, 3 * w), g.reshape(m, w)
+    rs = np.split(r, np.cumsum([len(b) for b in blocks])[:-1])
+    g = np.bincount(g_index, np.concatenate([(b.swapaxes(-1, -2) @ rc[:, None, :, None]).ravel()
+                                             for b, rc in zip(blocks, rs)]), minlength=m * w + 1)
+    return H.reshape(m, w, 3 * w), g[:m * w].reshape(m, w)
 
 
 def _solve_chunks(H, rhs, lam):
     """Solution of ``(JᵀJ + lam I) x = rhs`` for the block-tridiagonal
     ``JᵀJ`` of :func:`_normal_equations`, by a block-Thomas sweep: one
     ``np.linalg.solve`` per chunk going forward, then matrix-vector
-    back-substitution. Raises ``np.linalg.LinAlgError`` on a singular chunk."""
-    m, w, _ = H.shape
-    L, D, U = H[:, :, :w], H[:, :, w:2 * w] + lam * np.eye(w), H[:, :, 2 * w:]
-    E, c = np.empty((m, w, w)), np.empty((m, w))
+    back-substitution. Leading axes of ``H`` (..., chunks, 6s, 18s),
+    ``rhs`` (..., chunks, 6s) and ``lam`` stack systems of one shape, each
+    solved as alone. Raises ``np.linalg.LinAlgError`` on a singular chunk
+    of any of them."""
+    *_, m, w, _ = H.shape
+    lam = np.asarray(lam)[..., None, None, None]
+    L, D, U = H[..., :w], H[..., w:2 * w] + lam * np.eye(w), H[..., 2 * w:]
+    E, c = np.empty(D.shape), np.empty(rhs.shape)
     for k in range(m):
-        Dk, bk = D[k], rhs[k]
+        Dk, bk = D[..., k, :, :], rhs[..., k, :]
         if k:
-            Dk, bk = Dk - L[k] @ E[k - 1], bk - L[k] @ c[k - 1]
-        x = np.linalg.solve(Dk, np.column_stack([U[k], bk]))
-        E[k], c[k] = x[:, :w], x[:, w]
+            Dk = Dk - L[..., k, :, :] @ E[..., k - 1, :, :]
+            bk = bk - (L[..., k, :, :] @ c[..., k - 1, :, None])[..., 0]
+        x = np.linalg.solve(Dk, np.concatenate([U[..., k, :, :], bk[..., None]], axis=-1))
+        E[..., k, :, :], c[..., k, :] = x[..., :w], x[..., w]
     for k in range(m - 2, -1, -1):
-        c[k] -= E[k] @ c[k + 1]
-    return c.ravel()
+        c[..., k, :] -= (E[..., k, :, :] @ c[..., k + 1, :, None])[..., 0]
+    return c.reshape(*c.shape[:-2], m * w)
 
 
 def optimize(
@@ -549,10 +589,9 @@ def optimize(
 
     Minimizes the weighted squared norm of constraint residuals over
     6-dim tangent increments with the first observed frame held at its
-    initial (identity) value. A step is taken only when it lowers the
-    cost, so the returned cost never exceeds the initial one; failure to
-    meet the relative tolerance within 50 iterations sets
-    ``converged = False``.
+    initial value. A step is taken only when it lowers the cost, so the
+    returned cost never exceeds the initial one; failure to meet the
+    relative tolerance within 50 iterations sets ``converged = False``.
 
     Each iteration builds ``JᵀJ`` and ``Jᵀr`` from the per-constraint
     Jacobian blocks, stored as block-tridiagonal chunks of ``s`` frames,
@@ -565,63 +604,266 @@ def optimize(
     does not fall below the current one, and exceeds it by no more than
     the relative tolerance, ends the loop as converged: the chain is at its
     optimum up to rounding.
+
+    The one-cluster form of the lockstep loop that
+    :func:`estimate_cluster_poses` runs over all clusters of a
+    demonstration.
     """
-    index = initial.poses.index
-    n = len(index)
-    Q, T = initial.poses.stack.q, initial.poses.stack.t
+    (seq,) = _smooth([(constraints, initial)])
+    _warn_unconverged(seq)
+    return seq
 
-    usable = [c for c in constraints if all(f in index for f in c.frames)]
-    if not usable or n < 2:
-        return ClusterPoseSequence(initial.cluster_id, initial.poses, dict(initial.inlier_counts))
-    groups = _residual_groups(usable, index)
-    layout = _chunk_layout(groups, n)
 
-    r = _weighted_residuals(groups, Q, T)
-    cost = float(np.sum(r**2))
-    lam = 1e-9
-    converged = False
-    iterations = 0
-    for iterations in range(1, 51):
-        if cost < 1e-18:
-            converged = True
-            break
-        H, g = _normal_equations(layout, _jacobian(groups, Q, T, r), r)
-        accepted = False
-        for _ in range(8):
-            try:
-                step = _solve_chunks(H, -g, lam)[:6 * (n - 1)]
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            step = step.reshape(n - 1, 6)  # the tangent step of every free frame
-            dq = quat_from_rotvec(step[:, :3])
-            Qn = quat_normalize(np.concatenate([Q[:1], quat_mul(dq, Q[1:])]))
-            Tn = np.concatenate([T[:1], quat_rotate(dq, T[1:]) + step[:, 3:]])
-            rn = _weighted_residuals(groups, Qn, Tn)
-            cn = float(np.sum(rn**2))
-            if cn < cost:
-                accepted = True
-                break
-            if cn - cost <= 1e-8 * max(cost, 1e-12):
-                break  # the step changed the cost by rounding only: at the optimum
-            lam *= 10
-        if not accepted:
-            converged = True  # no descent direction left: local optimum
-            break
-        drop = cost - cn
-        Q, T, r, cost = Qn, Tn, rn, cn
-        lam = max(lam / 10, 1e-9)
-        if cost < 1e-18 or drop < 1e-8 * max(cost, 1e-12):
-            converged = True
-            break
-    if not converged:
+def _warn_unconverged(seq):
+    if not seq.converged:
         warnings.warn(
-            f"pose optimization did not converge in {iterations} iterations",
+            f"pose optimization did not converge in {seq.iterations} iterations",
             RuntimeWarning,
         )
-    poses = FramePoses(initial.poses.frames, Pose(Q, T))
-    return ClusterPoseSequence(initial.cluster_id, poses, dict(initial.inlier_counts),
-                               converged, iterations)
+
+
+def _stack(problems, active, start):
+    """The ``active`` problems, each (residual groups, frame count), as one
+    system.
+
+    Their residual groups are joined, pairs then velocities, with every
+    frame offset by ``start`` into one pose stack; so a bin of the normal
+    equations sums its products in the order of its problem alone. Each
+    chunk width ``s`` gets one layout of :func:`_chunk_layout`'s form, in
+    which the problems of equal chunk count sit side by side and every
+    product of another width falls in the dropped bin. Returns the groups,
+    the problem of every residual row, the residual rows of each problem,
+    and per width the layout with its (chunk count, first chunk, problems)
+    shapes.
+    """
+    groups, owner, rows, row = [], [], {c: [] for c in active}, 0
+    pieces = []  # (problem, group) in the order of the joined groups
+    for fn in (_pair_residuals, _velocity_residuals):
+        part = [(c, j) for c in active for j, g in enumerate(problems[c][0]) if g[0] is fn]
+        if not part:
+            continue
+        pieces += part
+        gs = [(c, problems[c][0][j]) for c, j in part]
+        _, _, slots, measured, _ = gs[0][1]
+        groups.append((
+            fn, np.concatenate([g[1] for _, g in gs]),
+            [np.concatenate([g[2][i] + start[c] for c, g in gs]) for i in range(len(slots))],
+            [np.concatenate([g[3][i] for _, g in gs]) for i in range(len(measured))],
+            row,
+        ))
+        for c, g in gs:
+            rows[c].append(np.arange(row, row + len(g[1])))
+            owner.append(np.full(len(g[1]), c))
+            row += len(g[1])
+
+    layouts, h_parts, g_parts = {}, {}, {}  # each problem's layout, its indices per group
+    for c in active:
+        layouts[c] = _chunk_layout(*problems[c])
+        items = [len(g[1]) * len(g[2]) for g in problems[c][0]]  # (constraint, slot) pairs
+        h_parts[c] = np.split(layouts[c][2], np.cumsum(
+            [36 * k * len(g[2]) for k, g in zip(items, problems[c][0])])[:-1])
+        g_parts[c] = np.split(layouts[c][3], np.cumsum([6 * k for k in items])[:-1])
+    widths = []
+    for s in sorted({layouts[c][0] for c in active}):
+        w = 6 * s
+        first, shapes, chunks = {}, [], 0
+        for m, c in sorted((layouts[c][1], c) for c in active if layouts[c][0] == s):
+            first[c] = chunks
+            if shapes and shapes[-1][0] == m:
+                shapes[-1][2].append(c)
+            else:
+                shapes.append((m, chunks, [c]))
+            chunks += m
+        h_index, g_index = [], []
+        for c, j in pieces:
+            h, g, m = h_parts[c][j], g_parts[c][j], layouts[c][1]
+            if c in first:  # the bin past the problem's end is the dropped one
+                h_index.append(np.where(h == m * w * 3 * w, chunks * w * 3 * w,
+                                        h + first[c] * w * 3 * w))
+                g_index.append(np.where(g == m * w, chunks * w, g + first[c] * w))
+            else:
+                h_index.append(np.full(len(h), chunks * w * 3 * w))
+                g_index.append(np.full(len(g), chunks * w))
+        pad = np.concatenate([layouts[c][4] + first[c] * w for c in first])
+        layout = s, chunks, np.concatenate(h_index), np.concatenate(g_index), pad
+        widths.append((layout, shapes))
+    return groups, np.concatenate(owner), {c: np.concatenate(v) for c, v in rows.items()}, widths
+
+
+def _retract(Q, T, start, steps):
+    """Q and T with each problem c of ``steps`` moved by its tangent step,
+    one row of 6 per free frame, and its quaternions normalised, the
+    gauge's included."""
+    Qn, Tn = Q.copy(), T.copy()
+    free = np.concatenate([np.arange(start[c] + 1, start[c + 1]) for c in steps])
+    step = np.concatenate(list(steps.values()))
+    dq = quat_from_rotvec(step[:, :3])
+    Qn[free] = quat_mul(dq, Q[free])
+    Tn[free] = quat_rotate(dq, T[free]) + step[:, 3:]
+    moved = np.concatenate([np.arange(start[c], start[c + 1]) for c in steps])
+    Qn[moved] = quat_normalize(Qn[moved])
+    return Qn, Tn
+
+
+def _smooth(problems):
+    """:func:`optimize` of every ``(constraints, initial)`` problem at once.
+
+    One Gauss-Newton loop runs the problems in lockstep over one pose
+    stack; each keeps its own cost, damping ``lam``, trial count,
+    iteration count and convergence. Each step evaluates every residual
+    group of the active problems once, builds their normal equations with
+    one ``np.bincount`` per chunk width, and solves the problems of one
+    chunk shape with one stacked block-Thomas sweep. When a stacked sweep
+    meets a singular chunk, its problems are solved again one at a time,
+    so only the singular one's ``lam`` rises. Every result is bitwise that
+    of the problem alone. It warns of nothing: its callers do.
+    """
+    results = [None] * len(problems)
+    live, systems = [], []  # the problems with a free frame and a usable constraint
+    for k, (constraints, initial) in enumerate(problems):
+        index = initial.poses.index
+        usable = [c for c in constraints if all(f in index for f in c.frames)]
+        if usable and len(index) >= 2:
+            live.append(k)
+            systems.append((_residual_groups(usable, index), len(index)))
+        else:
+            results[k] = ClusterPoseSequence(initial.cluster_id, initial.poses,
+                                             dict(initial.inlier_counts))
+    if not live:
+        return results
+
+    stacks = [problems[k][1].poses.stack for k in live]
+    start = np.cumsum([0] + [len(p.q) for p in stacks])  # each problem's rows of Q and T
+    Q, T = np.concatenate([p.q for p in stacks]), np.concatenate([p.t for p in stacks])
+    lam, iterations, converged = [1e-9] * len(live), [0] * len(live), [False] * len(live)
+    active = list(range(len(live)))
+    groups, owner, rows, widths = _stack(systems, active, start)
+    r = _weighted_residuals(groups, Q, T)
+    cost = [float(np.sum(r[rows[c]] ** 2)) for c in active]
+    for it in range(1, 51):
+        still = [c for c in active if not converged[c]]
+        for c in still:
+            iterations[c], converged[c] = it, cost[c] < 1e-18
+        still = [c for c in still if not converged[c]]
+        if not still:
+            break
+        if len(still) < len(active):
+            r, active = r[np.isin(owner, still)], still
+            groups, owner, rows, widths = _stack(systems, active, start)
+        blocks = _jacobian(groups, Q, T, r)
+        normal = [_normal_equations(layout, blocks, r) for layout, _ in widths]
+        Q_next, T_next, r_next = Q.copy(), T.copy(), r.copy()
+        trying, accepted = set(active), {}
+        for _ in range(8):
+            steps = {}
+            for ((s, *_), shapes), (H, g) in zip(widths, normal):
+                w = 6 * s
+                for m, first, members in shapes:
+                    idx = [j for j, c in enumerate(members) if c in trying]
+                    if not idx:
+                        continue
+                    Hs = H[first:first + m * len(members)].reshape(-1, m, w, 3 * w)
+                    rhs = -g[first:first + m * len(members)].reshape(-1, m, w)
+                    if len(idx) < len(members):
+                        Hs, rhs = Hs[idx], rhs[idx]
+                    lams = np.array([lam[members[j]] for j in idx])
+                    try:
+                        x = list(_solve_chunks(Hs, rhs, lams))
+                    except np.linalg.LinAlgError:
+                        x = []
+                        for i in range(len(idx)):  # one at a time: which is singular
+                            try:
+                                x.append(_solve_chunks(Hs[i], rhs[i], lams[i]))
+                            except np.linalg.LinAlgError:
+                                x.append(None)
+                    for j, xj in zip(idx, x):
+                        c = members[j]
+                        if xj is None:
+                            lam[c] *= 10
+                        else:
+                            steps[c] = xj[:6 * (start[c + 1] - start[c] - 1)].reshape(-1, 6)
+            if steps:
+                Qn, Tn = _retract(Q, T, start, steps)
+                rn = _weighted_residuals(groups, Qn, Tn)
+                for c in steps:
+                    cn = float(np.sum(rn[rows[c]] ** 2))
+                    if cn < cost[c]:
+                        accepted[c] = cn
+                        trying.discard(c)
+                        frames = slice(start[c], start[c + 1])
+                        Q_next[frames], T_next[frames] = Qn[frames], Tn[frames]
+                        r_next[rows[c]] = rn[rows[c]]
+                    elif cn - cost[c] <= 1e-8 * max(cost[c], 1e-12):
+                        trying.discard(c)  # the step changed the cost by rounding only
+                    else:
+                        lam[c] *= 10
+            if not trying:
+                break
+        Q, T, r = Q_next, T_next, r_next
+        for c in active:
+            if c not in accepted:
+                converged[c] = True  # no descent direction left: local optimum
+                continue
+            drop, cost[c] = cost[c] - accepted[c], accepted[c]
+            lam[c] = max(lam[c] / 10, 1e-9)
+            converged[c] = cost[c] < 1e-18 or drop < 1e-8 * max(cost[c], 1e-12)
+
+    for c, k in enumerate(live):
+        initial = problems[k][1]
+        poses = FramePoses(initial.poses.frames, Pose(Q[start[c]:start[c + 1]],
+                                                      T[start[c]:start[c + 1]]))
+        results[k] = ClusterPoseSequence(initial.cluster_id, poses, dict(initial.inlier_counts),
+                                         converged[c], iterations[c])
+    return results
+
+
+def _chain_step(dq, dt, q, t):
+    """compose(delta, pose) on Python floats: the (q, t) of
+    ``quat_canonical(quat_normalize(quat_mul(dq, q)))`` and
+    ``quat_rotate(dq, t) + dt`` for one row each, by the same operations in
+    the same order as those kernels, so with the same bits. The norm's sum
+    of squares is the left fold that ``np.add.reduce`` makes of 4 items.
+    The product must not have a zero norm."""
+    aw, ax, ay, az = dq
+    bw, bx, by, bz = q
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + ax * bw + ay * bz - az * by
+    y = aw * by - ax * bz + ay * bw + az * bx
+    z = aw * bz + ax * by - ay * bx + az * bw
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    first = w if w != 0.0 else x if x != 0.0 else y if y != 0.0 else z
+    sign = -1.0 if first < 0.0 else 1.0 if first == first else first  # NaN stays NaN
+    vx, vy, vz = t
+    sx = (ay * vz - az * vy) + aw * vx
+    sy = (az * vx - ax * vz) + aw * vy
+    sz = (ax * vy - ay * vx) + aw * vz
+    return (w * sign, x * sign, y * sign, z * sign), (
+        vx + 2.0 * (ay * sz - az * sy) + dt[0],
+        vy + 2.0 * (az * sx - ax * sz) + dt[1],
+        vz + 2.0 * (ax * sy - ay * sx) + dt[2],
+    )
+
+
+def _initial_chain(cid, frames, valid, constraints):
+    """A cluster's initial poses: compose(delta, previous) along its
+    consecutive constraints from the identity at its first observed frame,
+    with the inlier count of each frame's delta."""
+    consec = {c.frames[1]: c for c in constraints if c.kind == CONSECUTIVE}
+    frames = frames.tolist()
+    q, t = (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)  # the identity
+    Q, T, counts = [q], [t], {frames[0]: int(valid[:, frames[0]].sum())}
+    for f in frames[1:]:
+        c = consec.get(f)
+        if c is None:  # a gap or a failed delta leaves no constraint: hold the pose
+            counts[f] = 0
+        else:
+            q, t = _chain_step(c.delta.q.tolist(), c.delta.t.tolist(), q, t)
+            counts[f] = int(c.weight)
+        Q.append(q)
+        T.append(t)
+    return ClusterPoseSequence(cid, FramePoses(frames, Pose._stored(np.array(Q), np.array(T))),
+                               counts)
 
 
 def estimate_cluster_poses(
@@ -631,43 +873,49 @@ def estimate_cluster_poses(
     sparse_stride: int = DEFAULT_SPARSE_STRIDE,
     seed: int = 0,
 ) -> list[ClusterPoseSequence]:
-    """Full per-cluster pipeline: deltas, constraints, smoothing.
+    """Full per-cluster pipeline: deltas, constraints, smoothing, solved
+    for all clusters of the demonstration together.
 
     The demonstration is packed once (``Demonstration.packed``); each
     cluster reads its members' rows, found with ``np.searchsorted`` over
     the ascending ids. Those rows are unobserved past the cluster's last
     frame, so its observed frames and deltas are those of a pack of its
-    members alone. Clusters observable with >=3 features in fewer than 2
-    frames are dropped with a warning. Results are ordered by cluster id.
+    members alone. The frame pairs of every cluster go through one
+    ``_estimate_deltas`` call, and one lockstep Gauss-Newton loop smooths
+    every chain; each result is bitwise that of ``build_constraints`` and
+    ``optimize`` on the cluster alone. Clusters observable with >=3
+    features in fewer than 2 frames are dropped with a warning. Results,
+    and the warnings, are ordered by cluster id.
     """
-    results: list[ClusterPoseSequence] = []
     all_ids, all_pos, _, all_valid = demo.packed()
+    kept = {}  # cluster id -> (rows, valid rows, frames, frames after another, pair a, pair b)
     for cid in sorted(assignment.clusters):
         rows = np.searchsorted(all_ids, assignment.clusters[cid])
-        ids, pos, valid = all_ids[rows], all_pos[rows], all_valid[rows]
-        frames = _observed_frames(valid).tolist()
-        if len(frames) < 2:
+        valid = all_valid[rows]
+        pairs = _frame_pairs(valid, sparse_stride)
+        if len(pairs[0]) >= 2:
+            kept[cid] = (rows, valid, *pairs)
+    no_pair = [np.zeros(0, dtype=np.int64)]
+    deltas = iter(_estimate_deltas(
+        all_ids, all_pos, all_valid,
+        np.concatenate(no_pair + [v[4] for v in kept.values()]),
+        np.concatenate(no_pair + [v[5] for v in kept.values()]),
+        inlier_threshold, seed, [(v[0], len(v[4])) for v in kept.values()],
+    ))
+    problems = []
+    for cid, (_, valid, frames, after, a, b) in kept.items():
+        constraints = _constraints(frames, after, a, b, [next(deltas) for _ in a])
+        problems.append((constraints, _initial_chain(cid, frames, valid, constraints)))
+    seqs = iter(_smooth(problems))
+
+    results = []
+    for cid in sorted(assignment.clusters):
+        if cid not in kept:
             warnings.warn(
                 f"cluster {cid}: fewer than 2 frames with >=3 features, dropped",
                 RuntimeWarning,
             )
             continue
-        constraints = build_constraints(ids, pos, valid, inlier_threshold, sparse_stride, seed)
-        consec = {c.frames[1]: c for c in constraints if c.kind == CONSECUTIVE}
-
-        # the chain of compose(delta, previous), one step per frame on bare arrays
-        Q, T = np.empty((len(frames), 4)), np.empty((len(frames), 3))
-        Q[0], T[0] = (1.0, 0.0, 0.0, 0.0), 0.0  # the identity
-        counts = {frames[0]: int(valid[:, frames[0]].sum())}
-        for k, f in enumerate(frames[1:], start=1):
-            c = consec.get(f)
-            if c is None:  # a gap or a failed delta leaves no constraint: hold the pose
-                Q[k], T[k], counts[f] = Q[k - 1], T[k - 1], 0
-                continue
-            dq = c.delta.q
-            Q[k] = quat_canonical(quat_normalize(quat_mul(dq, Q[k - 1])))
-            T[k] = quat_rotate(dq, T[k - 1]) + c.delta.t
-            counts[f] = int(c.weight)
-        poses = FramePoses(frames, Pose._stored(Q, T))
-        results.append(optimize(constraints, ClusterPoseSequence(cid, poses, counts)))
+        results.append(next(seqs))
+        _warn_unconverged(results[-1])
     return results

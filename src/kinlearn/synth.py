@@ -177,8 +177,11 @@ def _validate(spec: ObjectSpec, frames: int) -> list[JointSpec]:
 def _part_pose_sequences(joints, frames: int):
     """Per-part stack of poses, one per frame, and per-child configuration
     array, for ``joints`` in parent-first order."""
-    s = np.arange(frames) / max(frames - 1, 1)
-    poses = {0: Pose.stack([Pose.identity()] * frames)}
+    try:  # a frame count past any memory is bad input too
+        s = np.arange(frames) / max(frames - 1, 1)
+        poses = {0: Pose.stack([Pose.identity()] * frames)}
+    except (ValueError, MemoryError):
+        raise InvalidSpec(f"frames {frames}: too many to allocate") from None
     q_of_child = {}
     for j in joints:
         qs = q_of_child[j.child] = j.profile.value(s)

@@ -76,6 +76,16 @@ class TestGenerate:
                             "--seed", "0", "-o", str(tmp_path / "x.traj")])
         assert code == 2
 
+    def test_frames_past_int64_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.traj"
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--object", "door", "--frames", "99999999999999999999",
+                 "-o", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --frames: must be below 2**63, got '99999999999999999999'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--noise", "-1"], ["--dropout", "1.0"], ["--dropout", "-0.1"],
         ["--noise", "nan"], ["--noise", "inf"],

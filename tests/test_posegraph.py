@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ from kinlearn.geometry import (
     inverse,
     kabsch,
     pose_distance,
+    quat_canonical,
     quat_from_rotvec,
     quat_mul,
+    quat_normalize,
     quat_rotate,
     relative,
     rotation_angle,
@@ -31,7 +34,9 @@ from kinlearn.posegraph import (
     VELOCITY,
     ClusterFrameSet,
     ClusterPoseSequence,
+    FramePoses,
     PoseConstraint,
+    _chain_step,
     _chunk_layout,
     _estimate_deltas,
     _group_residuals,
@@ -974,3 +979,227 @@ class TestFrameLayout:
         b = ClusterPoseSequence(1, random_pose_dict(rng, [1, 3, 5]))
         with pytest.raises(EmptyInput):
             relative_pose_sequence(a, b)
+
+
+def reference_cluster_poses(demo, assignment, sparse_stride=10, seed=0):
+    """(sequences, warnings) of the per-cluster path: for each cluster in id
+    order, ``build_constraints``, the initial chain on the numpy quaternion
+    kernels one row at a time, and ``optimize``."""
+    results = []
+    all_ids, all_pos, _, all_valid = demo.packed()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for cid in sorted(assignment.clusters):
+            rows = np.searchsorted(all_ids, assignment.clusters[cid])
+            ids, pos, valid = all_ids[rows], all_pos[rows], all_valid[rows]
+            frames = np.flatnonzero(valid.sum(axis=0) >= 3).tolist()
+            if len(frames) < 2:
+                warnings.warn(f"cluster {cid}: fewer than 2 frames with >=3 features, dropped",
+                              RuntimeWarning)
+                continue
+            constraints = build_constraints(ids, pos, valid, sparse_stride=sparse_stride,
+                                            seed=seed)
+            consec = {c.frames[1]: c for c in constraints if c.kind == CONSECUTIVE}
+            Q, T = np.empty((len(frames), 4)), np.empty((len(frames), 3))
+            Q[0], T[0] = (1.0, 0.0, 0.0, 0.0), 0.0
+            counts = {frames[0]: int(valid[:, frames[0]].sum())}
+            for k, f in enumerate(frames[1:], start=1):
+                c = consec.get(f)
+                if c is None:
+                    Q[k], T[k], counts[f] = Q[k - 1], T[k - 1], 0
+                    continue
+                dq = c.delta.q
+                Q[k] = quat_canonical(quat_normalize(quat_mul(dq, Q[k - 1])))
+                T[k] = quat_rotate(dq, T[k - 1]) + c.delta.t
+                counts[f] = int(c.weight)
+            initial = ClusterPoseSequence(cid, FramePoses(frames, Pose._stored(Q, T)), counts)
+            results.append(optimize(constraints, initial))
+    return results, [(w.category, str(w.message)) for w in caught]
+
+
+def one_pass(demo, assignment, sparse_stride=10, seed=0):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        seqs = estimate_cluster_poses(demo, assignment, sparse_stride=sparse_stride, seed=seed)
+    return seqs, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_sequences(got, expected):
+    assert [s.cluster_id for s in got] == [s.cluster_id for s in expected]
+    for a, b in zip(got, expected):
+        assert a.poses.frames.tobytes() == b.poses.frames.tobytes()
+        assert a.poses.stack.q.tobytes() == b.poses.stack.q.tobytes()
+        assert a.poses.stack.t.tobytes() == b.poses.stack.t.tobytes()
+        assert a.inlier_counts == b.inlier_counts
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+
+def relabel(assignment, mapping, split=()):
+    """``assignment`` with its clusters renumbered by ``mapping`` and each
+    (cluster id, new id) of ``split`` taking two members of that cluster."""
+    labels = {t: mapping.get(c, c) for t, c in assignment.labels.items()}
+    for old, new in split:
+        for t in assignment.clusters[old][:2]:
+            labels[t] = new
+    return ClusterAssignment(labels)
+
+
+class TestOnePass:
+    """``estimate_cluster_poses`` solves all clusters of a demonstration
+    together; every sequence and warning must be that of the per-cluster
+    path, bit for bit."""
+
+    GRID = {  # (sigma, dropout, frames)
+        "clean": (0.0, 0.0, 50),
+        "noisy": (0.005, 0.02, 16),
+        "rough": (0.01, 0.3, 40),
+    }
+
+    @pytest.mark.parametrize("setting", sorted(GRID))
+    def test_equal_to_cluster_at_a_time(self, setting):
+        sigma, dropout, frames = self.GRID[setting]
+        sequences = unconverged = 0
+        for name, spec in sorted(synth.default_specs().items()):
+            for seed in range(3):
+                demo = synth.generate(spec.with_noise(sigma_pos=sigma, dropout=dropout),
+                                      frames=frames, seed=seed)
+                assignment = cluster(similarity_matrix(demo))
+                got, caught = one_pass(demo, assignment, seed=seed)
+                expected, expected_caught = reference_cluster_poses(demo, assignment, seed=seed)
+                assert_same_sequences(got, expected)
+                assert caught == expected_caught
+                sequences += len(got)
+                unconverged += sum(not s.converged for s in got)
+        assert sequences == {"clean": 45, "noisy": 45, "rough": 44}[setting]  # 134 in all
+        assert (unconverged > 0) == (setting == "rough")
+
+    def test_dropped_and_unconverged_warn_in_cluster_order(self):
+        spec = synth.default_specs()["monitor"].with_noise(sigma_pos=0.01, dropout=0.3)
+        demo = synth.generate(spec, frames=40, seed=0)
+        segmented = cluster(similarity_matrix(demo))
+        # 2-member clusters 1 and 4 are dropped; clusters 0 and 2 do not converge
+        assignment = relabel(segmented, {1: 0, 0: 2, 2: 3}, split=[(0, 1), (2, 4)])
+        got, caught = one_pass(demo, assignment, seed=0)
+        expected, expected_caught = reference_cluster_poses(demo, assignment, seed=0)
+        assert_same_sequences(got, expected)
+        assert [(s.cluster_id, s.converged) for s in got] == [(0, False), (2, False), (3, True)]
+        unconverged = (RuntimeWarning, "pose optimization did not converge in 50 iterations")
+        assert caught == expected_caught == [
+            unconverged,
+            (RuntimeWarning, "cluster 1: fewer than 2 frames with >=3 features, dropped"),
+            unconverged,
+            (RuntimeWarning, "cluster 4: fewer than 2 frames with >=3 features, dropped"),
+        ]
+
+    @staticmethod
+    def shapes(demo, assignment, sparse_stride):
+        """(chunk width, chunk count) of each cluster's smoothing."""
+        out = []
+        all_ids, all_pos, _, all_valid = demo.packed()
+        for cid in sorted(assignment.clusters):
+            rows = np.searchsorted(all_ids, assignment.clusters[cid])
+            valid = all_valid[rows]
+            frames = np.flatnonzero(valid.sum(axis=0) >= 3)
+            cons = build_constraints(all_ids[rows], all_pos[rows], valid,
+                                     sparse_stride=sparse_stride)
+            index = {f: k for k, f in enumerate(frames.tolist())}
+            out.append(_chunk_layout(_residual_groups(cons, index), len(frames))[:2])
+        return out
+
+    @pytest.mark.parametrize("sparse_stride", [10, 60])
+    def test_clusters_of_different_chunk_shapes(self, sparse_stride):
+        # part 1's tracks end at frame 8 and part 2 is hidden at frames
+        # 12-21, so the three clusters chunk their frames differently
+        spec = synth.default_specs()["monitor"].with_noise(sigma_pos=0.005)
+        demo = synth.generate(spec, frames=40, seed=2)
+        labels = demo.ground_truth.labels
+        tracks = []
+        for t in demo.trajectories:
+            keep = {1: t.frames < 8, 2: (t.frames < 12) | (t.frames > 21)}.get(labels[t.id])
+            tracks.append(t if keep is None else FeatureTrajectory(t.id, t.observations[keep]))
+        demo = Demonstration(tracks)
+        assignment = ClusterAssignment({t.id: labels[t.id] for t in tracks})
+        shapes = self.shapes(demo, assignment, sparse_stride)
+        assert len(set(shapes)) == 3
+        got, caught = one_pass(demo, assignment, sparse_stride=sparse_stride, seed=1)
+        expected, expected_caught = reference_cluster_poses(
+            demo, assignment, sparse_stride=sparse_stride, seed=1)
+        assert_same_sequences(got, expected)
+        assert caught == expected_caught
+
+    def test_singular_stacked_solve_raises_only_its_lam(self, monkeypatch):
+        # part 2's tracks end at frame 25: all three clusters chunk into
+        # 3 chunks of 10 frames, part 2's with 6 padding frames, 36 variables
+        spec = synth.default_specs()["monitor"].with_noise(sigma_pos=0.005)
+        demo = synth.generate(spec, frames=31, seed=4)
+        labels = demo.ground_truth.labels
+        tracks = [t if labels[t.id] != 2 else FeatureTrajectory(t.id, t.observations[t.frames < 25])
+                  for t in demo.trajectories]
+        demo = Demonstration(tracks)
+        assignment = ClusterAssignment({t.id: labels[t.id] for t in tracks})
+        assert self.shapes(demo, assignment, 10) == [(10, 3)] * 3
+        clean, _ = reference_cluster_poses(demo, assignment)
+
+        solve, stacked = posegraph._solve_chunks, []
+
+        def singular_part_2(H, rhs, lam):
+            padded = (np.reshape(rhs, (-1, rhs.shape[-2] * rhs.shape[-1])) == 0).sum(axis=1)
+            if (padded == 36).any():
+                stacked.append(len(padded))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(H, rhs, lam)
+
+        monkeypatch.setattr(posegraph, "_solve_chunks", singular_part_2)
+        got, _ = one_pass(demo, assignment)
+        alone, _ = reference_cluster_poses(demo, assignment)
+        assert max(stacked) == 3  # the stacked sweep of all three raised
+        assert_same_sequences(got, alone)
+        assert_same_sequences(got[:2], clean[:2])
+        # every trial of part 2 was singular: no step, its initial chain kept
+        assert got[2].iterations == 1 and got[2].converged
+        assert got[2].poses.stack.t.tobytes() != clean[2].poses.stack.t.tobytes()
+
+
+def reference_chain_step(dq, dt, q, t):
+    return quat_canonical(quat_normalize(quat_mul(dq, q))), quat_rotate(dq, t) + dt
+
+
+class TestChainStep:
+    """``_chain_step`` on Python floats against the numpy kernels that the
+    initial chain used, bit for bit."""
+
+    @staticmethod
+    def inputs(n=120_000):
+        rng = np.random.default_rng(30)
+        dq, q = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+        t, dt = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        k = n // 6
+        # products with w = 0 exactly, and with x or x and y zero too
+        dq[:k] = (1.0, 0.0, 0.0, 0.0)
+        q[:k, 0] = 0.0
+        q[:k // 3, 1] = 0.0
+        q[:k // 6, 2] = 0.0
+        # a negative first nonzero component
+        q[k:2 * k, 0] = -np.abs(q[k:2 * k, 0])
+        q[:k] = -np.abs(q[:k])
+        # tiny norms, down to subnormal squares
+        q[2 * k:3 * k] *= 10.0 ** rng.uniform(-160, -100, size=(k, 1))
+        dq[2 * k:3 * k] /= np.linalg.norm(dq[2 * k:3 * k], axis=1, keepdims=True)
+        # unit quaternions and small steps, as in a chain
+        for a in (dq, q):
+            a[3 * k:] /= np.linalg.norm(a[3 * k:], axis=1, keepdims=True)
+        t[3 * k:] *= 0.05
+        return dq, dt, q, t
+
+    def test_equal_to_numpy_kernels(self):
+        dq, dt, q, t = self.inputs()
+        Q, T = reference_chain_step(dq, dt, q, t)
+        assert (Q[:, 0] == 0.0).sum() > 10_000 and (Q[:, 0] < 0.0).sum() == 0
+        assert np.linalg.norm(quat_mul(dq, q), axis=1).min() < 1e-150
+        got = [_chain_step(*row) for row in zip(dq.tolist(), dt.tolist(), q.tolist(), t.tolist())]
+        assert np.array(Q).tobytes() == np.array([g[0] for g in got]).tobytes()
+        assert np.array(T).tobytes() == np.array([g[1] for g in got]).tobytes()
+        # one row at a time, as the numpy chain called them
+        for i in range(0, len(q), 37):
+            qi, ti = reference_chain_step(dq[i], dt[i], q[i], t[i])
+            assert qi.tolist() == list(got[i][0]) and ti.tolist() == list(got[i][1])

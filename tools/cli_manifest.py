@@ -232,6 +232,7 @@ def error_commands():
     return [
         ["generate", "--object", "spaceship", "-o", "x.traj"],
         [*gen[:3], "--frames", "5", "-o", "x.traj"],
+        [*gen[:3], "--frames", "99999999999999999999", "-o", "x.traj"],
         [*gen, "--noise", "-1", "-o", "noise-neg.traj"],
         [*gen, "--dropout", "1.0", "-o", "drop-one.traj"],
         [*gen, "--dropout", "-0.1", "-o", "drop-neg.traj"],
